@@ -6,12 +6,14 @@ tree cost by construction, but the rule takes no valuations into account
 and agents can lower their payment by hiding edges, which is exactly the
 failure the truthful mechanisms avoid. Frontier ties go to the smaller
 (cost, edge key) pair, so runs are deterministic.
+
+Everyone is served, so the welfare needs no Steiner solve: the cheapest tree
+spanning every node is a minimum spanning tree, and Prim's tree is one.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
 from .allocation import Allocation
 from .model import (Edge, Instance, ReportProfile, ValidationError, Value,
@@ -30,12 +32,12 @@ def prim_shares(graph: WeightedGraph, source: str) -> tuple[dict[str, Value], fr
     shares: dict[str, Value] = {}
     tree: set[Edge] = set()
     reached = {source}
-    frontier: list[tuple[Fraction, Edge, str]] = []
+    frontier: list[tuple[Value, Edge, str]] = []
 
     def push_edges(v: str):
         for w, c in graph.adjacent(v).items():
             if w not in reached:
-                heapq.heappush(frontier, (Fraction(c), edge_key(v, w), w))
+                heapq.heappush(frontier, (c, edge_key(v, w), w))
 
     push_edges(source)
     while frontier:
@@ -43,7 +45,7 @@ def prim_shares(graph: WeightedGraph, source: str) -> tuple[dict[str, Value], fr
         if node in reached:
             continue
         reached.add(node)
-        shares[node] = as_value(cost)
+        shares[node] = cost
         tree.add(e)
         push_edges(node)
     if reached != graph.nodes:
@@ -56,21 +58,18 @@ def run_bird(instance: Instance, profile: ReportProfile | None = None,
     """Run the rule on the induced graph of a profile (truthful by default).
 
     Every agent is selected and pays its attachment cost regardless of any
-    reported valuation.
+    reported valuation. The welfare is the reported value of everyone minus
+    the spanning tree's cost, so no Steiner solve is needed; ``cache`` is
+    accepted only so every mechanism shares one signature.
     """
     profile = profile if profile is not None else truthful_profile(instance)
-    cache = cache or SteinerCache()
     graph = induced_graph(profile)
     shares, tree = prim_shares(graph, instance.source)
     utilities = {i: as_value(instance.valuations[i] - shares[i])
                  for i in instance.agents}
     selected = frozenset(instance.agents)
-    if selected:
-        c_min = cache.solver(graph).cost(selected | {instance.source})
-        sw = as_value(sum(Fraction(profile.valuation(i)) for i in selected) - c_min)
-    else:
-        sw = 0
     total = graph.total_cost(tree)
+    sw = as_value(sum(profile.valuation(i) for i in selected) - total)
     return Allocation(
         mechanism="bird",
         selected=selected,

@@ -19,11 +19,11 @@ from fractions import Fraction
 
 from .baselines import run_bird
 from .cvm import run_cvm
-from .documents import load_document, serialize_instance
+from .documents import load_document, parse_number, serialize_instance
 from .fixtures import (corpus_inefficiency, fig_bird_square, fig_line,
                        fig_welfare_gap, fig_zero_bridge)
 from .model import (AgentReport, SizeCapError, ValidationError, apply_deviation,
-                    as_value, edge_key, truthful_profile, value_to_json)
+                    edge_key, truthful_profile, value_to_json)
 from .properties import (MECHANISMS, PropertyReport, budget_balance_ratio,
                          check_budget_balance, check_efficiency,
                          check_feasibility, check_individual_rationality,
@@ -145,7 +145,7 @@ def _measure(prop: str, instance, mechanism, cache) -> dict:
 
 
 def _check_property(prop: str, instance, mechanism, args, cache) -> PropertyReport:
-    step = as_value(args.step)
+    step = parse_number(args.step, "--step")
     if prop == "truthfulness":
         return check_truthfulness(instance, mechanism, step, cache)
     if prop == "feasibility":
@@ -180,9 +180,10 @@ def cmd_check(args) -> int:
         instances = None  # generated per property below
         carried = None
 
+    # Each instance gets its own solver cache: generated instances never
+    # share a graph, so a cache kept across the corpus only grows.
     reports = []
     for prop in props:
-        cache = SteinerCache()
         total = 0
         verdict = "holds"
         witness = None
@@ -190,6 +191,7 @@ def cmd_check(args) -> int:
             if args.input:
                 checker = check_ranking if prop == "ranking" else check_symmetry
                 for _, inst in instances:
+                    cache = SteinerCache()
                     for i, j in _twin_pairs_of(inst, ranked=prop == "ranking"):
                         rep = checker(inst, mechanism, i, j, cache)
                         total += rep.instances_checked
@@ -198,7 +200,7 @@ def cmd_check(args) -> int:
             else:
                 checker = check_ranking if prop == "ranking" else check_symmetry
                 for seed, (inst, i, j) in _twin_corpus(args, ranked=prop == "ranking"):
-                    rep = checker(inst, mechanism, i, j, cache)
+                    rep = checker(inst, mechanism, i, j, SteinerCache())
                     total += rep.instances_checked
                     if not rep.holds and witness is None:
                         verdict = "violated"
@@ -210,7 +212,7 @@ def cmd_check(args) -> int:
         if prop in MEASUREMENTS:
             values = []
             for seed, inst in (instances if args.input else _corpus(args)):
-                entry = _measure(prop, inst, mechanism, cache)
+                entry = _measure(prop, inst, mechanism, SteinerCache())
                 if seed is not None:
                     entry["seed"] = seed
                 values.append(entry)
@@ -226,7 +228,7 @@ def cmd_check(args) -> int:
             # A document may carry explicit reports; the pointwise checks
             # evaluate that profile as submitted rather than the truthful one.
             target = carried if carried is not None and prop in POINTWISE else inst
-            rep = _check_property(prop, target, mechanism, args, cache)
+            rep = _check_property(prop, target, mechanism, args, SteinerCache())
             total += rep.instances_checked
             if not rep.holds and witness is None:
                 verdict = "violated"
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

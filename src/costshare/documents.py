@@ -12,6 +12,12 @@ Schema::
 
 Numbers are integers or exact strings ("3/2", "0.5"); bare JSON floats are
 rejected because they cannot represent the intended rational exactly.
+Numbers are also capped: in lowest terms, numerator and denominator may have
+at most MAX_NUMBER_DIGITS decimal digits, a number string may be at most
+MAX_NUMBER_TEXT characters long, and its decimal exponent at most
+MAX_EXPONENT in size. Exact arithmetic slows down without bound as numbers
+grow, and the exponent is checked before any value is built, so "1e99999"
+is refused at once. Node labels are strings.
 Serialization is deterministic (sorted keys and edge lists), so equal
 instances produce byte-identical documents.
 """
@@ -19,16 +25,50 @@ instances produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
 
 from .model import (AgentReport, Instance, ReportProfile, ValidationError,
                     as_value, edge_key, truthful_profile, value_to_json)
 
+MAX_NUMBER_DIGITS = 30
+MAX_NUMBER_TEXT = 4 * MAX_NUMBER_DIGITS
+MAX_EXPONENT = MAX_NUMBER_TEXT + MAX_NUMBER_DIGITS
+_NUMBER_LIMIT = 10 ** MAX_NUMBER_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
-def _number(x, what: str):
-    if isinstance(x, float):
+
+def parse_number(x, what: str):
+    """An exact document number (int or exact string) within the caps."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValidationError(
             f"malformed number for {what}: {x!r} (use an int or a string like \"3/2\")")
-    return as_value(x)
+    if isinstance(x, str):
+        if len(x) > MAX_NUMBER_TEXT:
+            raise ValidationError(
+                f"number for {what} is {len(x)} characters long; "
+                f"at most {MAX_NUMBER_TEXT} are accepted")
+        m = _EXPONENT.search(x)
+        if m is not None:
+            try:
+                exp = int(m.group(1))
+            except ValueError:
+                exp = 0  # malformed; as_value reports it
+            if abs(exp) > MAX_EXPONENT:
+                raise ValidationError(
+                    f"exponent of {x!r} for {what} is out of range "
+                    f"(at most {MAX_EXPONENT} in size)")
+    v = as_value(x)
+    if abs(v.numerator) >= _NUMBER_LIMIT or v.denominator >= _NUMBER_LIMIT:
+        raise ValidationError(
+            f"number for {what} is too large: numerator and denominator may "
+            f"have at most {MAX_NUMBER_DIGITS} digits")
+    return v
+
+
+def _label(x, what: str) -> str:
+    if not isinstance(x, str):
+        raise ValidationError(f"{what} must be a string label, got {x!r}")
+    return x
 
 
 def _parse_document(text: str) -> dict:
@@ -36,6 +76,8 @@ def _parse_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"document is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"document could not be parsed: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
     for field in ("source", "agents", "edges", "valuations"):
@@ -60,15 +102,15 @@ def _instance_from(doc: dict) -> Instance:
     for item in doc["edges"]:
         if not isinstance(item, dict) or not {"u", "v", "cost"} <= item.keys():
             raise ValidationError(f"malformed edge entry: {item!r}")
-        k = edge_key(item["u"], item["v"])
+        k = edge_key(_label(item["u"], "edge endpoint"), _label(item["v"], "edge endpoint"))
         if k in edges:
             raise ValidationError(f"duplicate edge {k}")
-        edges[k] = _number(item["cost"], f"cost of {k}")
+        edges[k] = parse_number(item["cost"], f"cost of {k}")
     if not isinstance(doc["valuations"], dict):
         raise ValidationError("valuations must be an object")
-    valuations = {a: _number(v, f"valuation of {a!r}")
+    valuations = {a: parse_number(v, f"valuation of {a!r}")
                   for a, v in doc["valuations"].items()}
-    return Instance(doc["source"], agents, edges, valuations)
+    return Instance(_label(doc["source"], "source"), agents, edges, valuations)
 
 
 def load_document(text: str) -> tuple[Instance, ReportProfile]:
@@ -92,12 +134,15 @@ def load_document(text: str) -> tuple[Instance, ReportProfile]:
             raise ValidationError(f"report for unknown agent {i!r}")
         if not isinstance(entry, dict) or not {"edges", "valuation"} <= entry.keys():
             raise ValidationError(f"malformed report for agent {i!r}")
-        try:
-            declared = frozenset(edge_key(u, v) for u, v in entry["edges"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed edge list in report for {i!r}") from exc
-        reports[i] = AgentReport(declared, _number(entry["valuation"],
-                                                   f"reported valuation of {i!r}"))
+        pairs = entry["edges"]
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+                for p in pairs):
+            raise ValidationError(
+                f"malformed edge list in report for {i!r}: expected pairs of labels")
+        declared = frozenset(edge_key(u, v) for u, v in pairs)
+        reports[i] = AgentReport(declared, parse_number(entry["valuation"],
+                                                        f"reported valuation of {i!r}"))
     return instance, ReportProfile(instance, reports)
 
 

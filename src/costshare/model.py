@@ -47,7 +47,9 @@ def as_value(x) -> Value:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed number: {x!r}") from exc
         return int(f) if f.denominator == 1 else f
-    raise ValidationError(f"malformed number: {x!r} (floats are not accepted)")
+    if isinstance(x, float):
+        raise ValidationError(f"malformed number: {x!r} (floats are not accepted)")
+    raise ValidationError(f"malformed number: {x!r}")
 
 
 def value_to_json(v: Value):
@@ -103,7 +105,7 @@ class WeightedGraph:
         self.origins = dict(origins) if origins else {}
         self._fingerprint = (
             tuple(sorted(self.nodes)),
-            tuple(sorted((u, v, Fraction(c)) for (u, v), c in cleaned.items())),
+            tuple(sorted((u, v, c) for (u, v), c in cleaned.items())),
         )
 
     def cost(self, u: str, v: str) -> Value:

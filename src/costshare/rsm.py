@@ -18,12 +18,15 @@ for one of its edges a second time. The union tree then costs less than the
 payments collected; see the relay recharge fixture for a worked example.
 
 Ties on the minimal share prefer the larger set, then the lexicographically
-smallest sorted label list.
+smallest sorted label list. Shares are compared by cross-multiplying costs
+and set sizes, so only each stage's winning share is built as a Fraction.
+
+The welfare of the final selection is read from stage 1's cost table: stage
+1 runs on the uncontracted graph over the whole agent pool, so its table
+already holds the cheapest tree for every agent subset.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .allocation import Allocation, StageRecord
 from .model import (Instance, ReportProfile, Value, WeightedGraph, as_value,
@@ -50,27 +53,35 @@ def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
         v = vals[low.bit_length() - 1]
         rest = min_val[mask ^ low]
         min_val[mask] = v if rest is None or v < rest else rest
-    best_x = None
-    best_size = -1
+    # Shares c / size are compared by cross-multiplication; only the
+    # winner's share becomes a Fraction.
+    x_num, x_den = x_prev.numerator, x_prev.denominator
+    best_c = None
+    best_size = 0
     best_mask = 0
     for mask in range(1, 1 << n):
         c = costs[mask]
         if c is None:
             continue
         size = mask.bit_count()
-        x = exact_div(c, size)
-        if x < x_prev or min_val[mask] < x:
+        if c * x_den < x_num * size or min_val[mask] * size < c:
             continue
-        if best_x is None or x < best_x:
-            best_x, best_size, best_mask = x, size, mask
-        elif x == best_x:
+        if best_c is None:
+            best_c, best_size, best_mask = c, size, mask
+            continue
+        lhs, rhs = c * best_size, best_c * size
+        if lhs < rhs:
+            best_c, best_size, best_mask = c, size, mask
+        elif lhs == rhs:
+            # A larger set at the same share replaces cost and size
+            # together, so later comparisons see the same ratio.
             if size > best_size:
-                best_size, best_mask = size, mask
+                best_c, best_size, best_mask = c, size, mask
             elif size == best_size and _labels(agents, mask) < _labels(agents, best_mask):
                 best_mask = mask
-    if best_x is None:
+    if best_c is None:
         return None
-    return frozenset(_labels(agents, best_mask)), best_x
+    return frozenset(_labels(agents, best_mask)), exact_div(best_c, best_size)
 
 
 def _labels(agents: tuple[str, ...], mask: int) -> tuple[str, ...]:
@@ -111,10 +122,13 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
             shares[i] = x_t
             utilities[i] = as_value(instance.valuations[i] - x_t)
 
-    base_solver = cache.solver(base)
-    if selected:
-        c_min = base_solver.cost(selected | {source})
-        sw = as_value(sum(Fraction(reported[i]) for i in selected) - c_min)
+    if stages:
+        # Contracting only the source leaves the graph as it is, so stage
+        # 1's cost table, over every agent, prices the final selection.
+        *_, graph_1, pool_1 = stages[0]
+        costs = cache.solver(graph_1).cost_table(source, pool_1)
+        c_min = costs[sum(1 << b for b, a in enumerate(pool_1) if a in selected)]
+        sw = as_value(sum(reported[i] for i in selected) - c_min)
     else:
         sw = 0
 

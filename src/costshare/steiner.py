@@ -8,13 +8,23 @@ cheap. Non-terminal nodes may appear in a tree (Steiner points); an
 unreachable terminal makes the query infeasible, reported as None rather
 than a sentinel cost.
 
-Witness trees are reconstructed by backtracking the DP choices under a fixed
-iteration order, so equal-cost ties resolve deterministically. A separate
-brute-force oracle (every node superset, cheapest spanning tree) exists only
-to cross-check the solver and shares none of its code path.
+Inside a solver everything is a plain int: edge costs are scaled once by the
+lcm of their denominators, and an int sentinel above every real cost stands
+for "no path". Values leave as exact ints or Fractions only through
+``cost_table``, whose tables are memoized per query.
+
+A run stores only the dp values. Witness trees are reconstructed by
+re-deriving, for each mask on the backtracking path, the merge and grow
+choices from those values under a fixed scan order with a strict-< rule, so
+equal-cost ties resolve deterministically. A separate brute-force oracle
+(every node superset, cheapest spanning tree) exists only to cross-check the
+solver and shares none of its code path.
 
 Solvers are pure after construction; a SteinerCache may be shared freely
-within a thread.
+within a thread. The cache matches graphs by content (nodes and costs), not
+by ``origins``, so a solver may serve a graph other than ``solver.graph``:
+it supplies costs and edges of that content, and callers map edges back
+through their own graph's ``origins``.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable
 
 from .model import (Edge, SizeCapError, ValidationError, Value, WeightedGraph,
@@ -69,7 +80,7 @@ def _kruskal(nodes: Iterable[str], edges: list[tuple[Edge, Value]]):
     ds = _DisjointSet(nodes)
     picked = []
     total = 0
-    for e, c in sorted(edges, key=lambda item: (Fraction(item[1]), item[0])):
+    for e, c in sorted(edges, key=lambda item: (item[1], item[0])):
         if ds.union(*e):
             picked.append(e)
             total += c
@@ -81,9 +92,15 @@ def _kruskal(nodes: Iterable[str], edges: list[tuple[Edge, Value]]):
 class SteinerSolver:
     """Per-graph exact Steiner solver with memoized DP runs.
 
-    A run is keyed by (root, terminal tuple); its dp table answers the cost
-    of connecting any terminal subset to the root, so callers that sweep
-    subsets should route every query through one root.
+    Edge costs are scaled once to ints by the lcm of their denominators;
+    shortest paths and the DP run on those ints, and ``_unscale`` turns a
+    value back into an exact int or Fraction. A pair of nodes with no path
+    between them is ``_inf`` apart: one more than the sum of all costs, so
+    any value at or above it marks an infeasible subset.
+
+    A run is keyed by the terminal tuple; its dp table answers the cost of
+    connecting any terminal subset to any node, so callers that sweep
+    subsets should route every query through one terminal list.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -93,17 +110,35 @@ class SteinerSolver:
         self._labels = sorted(graph.nodes)
         self._idx = {lab: i for i, lab in enumerate(self._labels)}
         self._n = len(self._labels)
-        self._dist, self._nxt = self._shortest_paths()
-        self._runs: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        costs = graph.edges()
+        scale = 1
+        for c in costs.values():
+            if not isinstance(c, int):
+                scale = lcm(scale, c.denominator)
+        self._scale = scale
+        if scale != 1:
+            costs = {e: int(c * scale) for e, c in costs.items()}
+        self._inf = sum(costs.values()) + 1
+        self._dist, self._nxt = self._shortest_paths(costs)
+        self._runs: dict[tuple[int, ...], list] = {}
+        self._tables: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    def _shortest_paths(self):
-        n = self._n
-        dist = [[None] * n for _ in range(n)]
+    def _unscale(self, c: int) -> Value | None:
+        if c >= self._inf:
+            return None
+        if self._scale == 1:
+            return c
+        q, r = divmod(c, self._scale)
+        return Fraction(c, self._scale) if r else q
+
+    def _shortest_paths(self, int_costs: dict[Edge, int]):
+        n, inf = self._n, self._inf
+        dist = [[inf] * n for _ in range(n)]
         nxt = [[None] * n for _ in range(n)]
         for i in range(n):
             dist[i][i] = 0
             nxt[i][i] = i
-        for (u, v), c in self.graph.edges().items():
+        for (u, v), c in int_costs.items():
             i, j = self._idx[u], self._idx[v]
             dist[i][j] = dist[j][i] = c
             nxt[i][j] = j
@@ -112,16 +147,13 @@ class SteinerSolver:
             dk = dist[k]
             for i in range(n):
                 dik = dist[i][k]
-                if dik is None:
+                if dik >= inf:
                     continue
                 di = dist[i]
                 ni = nxt[i]
                 for j in range(n):
-                    dkj = dk[j]
-                    if dkj is None:
-                        continue
-                    alt = dik + dkj
-                    if di[j] is None or alt < di[j]:
+                    alt = dik + dk[j]
+                    if alt < di[j]:
                         di[j] = alt
                         ni[j] = ni[k]
         return dist, nxt
@@ -146,98 +178,102 @@ class SteinerSolver:
             out.append(self._idx[t])
         return out
 
-    def _run(self, root: int, terms: tuple[int, ...]):
-        key = (root, terms)
-        run = self._runs.get(key)
-        if run is None:
-            run = self._dreyfus_wagner(root, terms)
-            self._runs[key] = run
-        return run
+    def _run(self, terms: tuple[int, ...]) -> list:
+        dp = self._runs.get(terms)
+        if dp is None:
+            dp = self._runs[terms] = self._dreyfus_wagner(terms)
+        return dp
 
-    def _dreyfus_wagner(self, root: int, terms: tuple[int, ...]):
+    def _dreyfus_wagner(self, terms: tuple[int, ...]) -> list:
+        """dp[mask][v] for every nonempty terminal mask; mask 0 is handled
+        by callers (cost 0, empty tree). Only values are kept: merging
+        splits in any order gives the same minimum, and tree_for_mask
+        re-derives the choices of the few masks a witness needs."""
         if len(terms) + 1 > MAX_TERMINALS:
             raise SizeCapError(
                 f"{len(terms) + 1} terminals requested, cap is {MAX_TERMINALS}")
         n, dist = self._n, self._dist
+        nodes = range(n)
         size = 1 << len(terms)
         dp: list = [None] * size
-        growc: list = [None] * size
-        mergec: list = [None] * size
-        dp[0] = None  # mask 0 is handled by callers (cost 0, empty tree)
-        for mask in range(1, size):
+        for b, t in enumerate(terms):
+            dp[1 << b] = dist[t]
+        for mask in range(3, size):
             if mask & (mask - 1) == 0:
-                t = terms[mask.bit_length() - 1]
-                dp[mask] = list(dist[t])
                 continue
+            # Every split pairs a part holding the lowest terminal with the
+            # rest of the mask; the part without it is the other side.
             low = mask & -mask
-            merged = [None] * n
-            mc = [None] * n
-            sub = (mask - 1) & mask
+            rest = mask ^ low
+            a, b = dp[low], dp[rest]
+            merged = [a[v] + b[v] for v in nodes]
+            sub = (rest - 1) & rest
             while sub:
-                if sub & low:
-                    rest = mask ^ sub
-                    dsub, drest = dp[sub], dp[rest]
-                    for v in range(n):
-                        a = dsub[v]
-                        if a is None:
-                            continue
-                        b = drest[v]
-                        if b is None:
-                            continue
-                        c = a + b
-                        if merged[v] is None or c < merged[v]:
-                            merged[v] = c
-                            mc[v] = sub
-                sub = (sub - 1) & mask
-            row = [None] * n
-            gc = [None] * n
-            for v in range(n):
-                dv = dist[v]
-                best = None
-                bu = None
-                for u in range(n):
-                    mu = merged[u]
-                    if mu is None:
-                        continue
-                    duv = dv[u]
-                    if duv is None:
-                        continue
-                    c = mu + duv
-                    if best is None or c < best:
+                a, b = dp[sub | low], dp[rest ^ sub]
+                for v in nodes:
+                    c = a[v] + b[v]
+                    if c < merged[v]:
+                        merged[v] = c
+                sub = (sub - 1) & rest
+            row = []
+            for dv in dist:
+                best = merged[0] + dv[0]
+                for u in nodes:
+                    c = merged[u] + dv[u]
+                    if c < best:
                         best = c
-                        bu = u
-                row[v] = best
-                gc[v] = bu
+                row.append(best)
             dp[mask] = row
-            growc[mask] = gc
-            mergec[mask] = mc
-        return dp, growc, mergec
+        return dp
 
     def cost_table(self, root_label: str, terminal_labels: tuple[str, ...]):
         """Exact connection cost of {root} plus every subset of the terminal
         list, indexed by subset bitmask over the given order. None marks an
-        infeasible (disconnected) subset."""
+        infeasible (disconnected) subset. The list is memoized per query and
+        shared between callers, so it must not be modified."""
         root = self._term_indices([root_label])[0]
         terms = tuple(self._term_indices(terminal_labels))
-        dp, _, _ = self._run(root, terms)
-        out = [0] * (1 << len(terms))
-        for mask in range(1, 1 << len(terms)):
-            row = dp[mask]
-            c = row[root]
-            out[mask] = as_value(c) if c is not None else None
-        return out
+        key = (root, terms)
+        table = self._tables.get(key)
+        if table is None:
+            dp = self._run(terms)
+            unscale = self._unscale
+            table = [0] + [unscale(dp[mask][root]) for mask in range(1, len(dp))]
+            self._tables[key] = table
+        return table
 
-    def _collect_edges(self, run, terms, mask: int, v: int, acc: set):
-        dp, growc, mergec = run
+    def _collect_edges(self, dp, terms, mask: int, v: int, acc: set):
+        """Add the witness edges of dp[mask][v] to acc. The merge and grow
+        choices are re-derived from the values by the same scan order and
+        strict-< rule that picks the first optimum, so ties always resolve
+        to the same witness."""
         if mask & (mask - 1) == 0:
             t = terms[mask.bit_length() - 1]
             acc.update(self._path_edges(t, v))
             return
-        u = growc[mask][v]
+        n = self._n
+        low = mask & -mask
+        rest = mask ^ low
+        merged: list = [None] * n
+        split: list = [0] * n
+        sub = (rest - 1) & rest
+        while True:
+            part = sub | low
+            a, b = dp[part], dp[mask ^ part]
+            for w in range(n):
+                c = a[w] + b[w]
+                if merged[w] is None or c < merged[w]:
+                    merged[w] = c
+                    split[w] = part
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        dv = self._dist[v]
+        u = min(range(n), key=lambda w: merged[w] + dv[w])
         acc.update(self._path_edges(u, v))
-        sub = mergec[mask][u]
-        self._collect_edges(run, terms, sub, u, acc)
-        self._collect_edges(run, terms, mask ^ sub, u, acc)
+        part = split[u]
+        self._collect_edges(dp, terms, part, u, acc)
+        self._collect_edges(dp, terms, mask ^ part, u, acc)
 
     def _canonical_tree(self, edges: set[Edge], keep: frozenset[str]) -> frozenset[Edge]:
         """Reduce a connected witness edge set to a tree and drop degree-one
@@ -267,15 +303,15 @@ class SteinerSolver:
         terms = tuple(self._term_indices(terminal_labels))
         if mask == 0:
             return frozenset()
-        run = self._run(root, terms)
-        if run[0][mask][root] is None:
+        dp = self._run(terms)
+        want = self._unscale(dp[mask][root])
+        if want is None:
             raise ValidationError("no tree exists for an infeasible subset")
         acc: set[Edge] = set()
-        self._collect_edges(run, terms, mask, root, acc)
+        self._collect_edges(dp, terms, mask, root, acc)
         keep = frozenset({root_label} | {terminal_labels[b]
                                          for b in range(len(terms)) if mask >> b & 1})
         tree = self._canonical_tree(acc, keep)
-        want = run[0][mask][root]
         got = self.graph.total_cost(tree)
         if got != want:
             raise AssertionError(f"witness cost {got} disagrees with dp value {want}")
@@ -337,7 +373,7 @@ def _induced_mst_table(graph: WeightedGraph):
     idx = {v: i for i, v in enumerate(nodes)}
     edges = [(e, c, 1 << idx[e[0]] | 1 << idx[e[1]])
              for e, c in sorted(graph.edges().items(),
-                                key=lambda item: (Fraction(item[1]), item[0]))]
+                                key=lambda item: (item[1], item[0]))]
     table = [None] * (1 << len(nodes))
     table[0] = (0, ())
     for mask in range(1, 1 << len(nodes)):

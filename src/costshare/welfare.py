@@ -116,11 +116,17 @@ def compute_delta_table(profile: ReportProfile, cache: SteinerCache | None = Non
                 if best is None or sw_delta[pred] > best:
                     best = sw_delta[pred]
                     best_pred = pred
-        own = value_sums[mask] - costs[mask] if costs[mask] is not None else None
-        raw_sw[mask] = as_value(own) if own is not None else None
+        c = costs[mask]
+        if c is None:
+            own = None
+        else:
+            own = value_sums[mask] - c
+            if not isinstance(own, int):
+                own = as_value(own)
+        raw_sw[mask] = own
         if own is not None and own >= best:
             delta_masks[mask] = mask
-            sw_delta[mask] = as_value(own)
+            sw_delta[mask] = own
         else:
             delta_masks[mask] = delta_masks[best_pred]
             sw_delta[mask] = best

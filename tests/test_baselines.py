@@ -60,3 +60,33 @@ def test_disconnected_declaration_is_an_error():
     prof = apply_deviation(truthful_profile(inst), "b", AgentReport(frozenset(), 10))
     with pytest.raises(ValidationError):
         run_bird(inst, prof)
+
+
+def test_bird_welfare_matches_the_oracle():
+    """Everyone is served, so the welfare is the reported value of everyone
+    minus the cheapest tree over all nodes, which the oracle prices without
+    the solver or Prim's rule."""
+    import random
+
+    from costshare import generate_instance
+    from costshare.steiner import brute_force_steiner_oracle
+
+    checked = 0
+    for seed in range(40):
+        inst = generate_instance(agents=1 + seed % 8, edge_probability=0.6, seed=seed)
+        rng = random.Random(seed)
+        profiles = [truthful_profile(inst)]
+        i = rng.choice(sorted(inst.agents))
+        edges = sorted(inst.true_edges_of(i))
+        kept = frozenset(e for e in edges if rng.random() < 0.7)
+        profiles.append(apply_deviation(profiles[0], i, AgentReport(kept, rng.randint(0, 9))))
+        for prof in profiles:
+            graph = induced_graph(prof)
+            best = brute_force_steiner_oracle(graph, graph.nodes)
+            if best is None:
+                continue  # the rule needs a connected declaration
+            alloc = run_bird(inst, prof)
+            want = sum(prof.valuation(a) for a in inst.agents) - best.cost
+            assert alloc.social_welfare == want, seed
+            checked += 1
+    assert checked >= 60

@@ -64,6 +64,30 @@ def test_parse_errors_exit_2(tmp_path, capsys):
                  "--mechanism", "cvm"]) == 2
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"source": 5}, "source must be a string label"),
+    ({"edges": [{"u": "s", "v": 7, "cost": 1}]}, "edge endpoint must be a string label"),
+    ({"valuations": {"a": None}}, "malformed number for valuation of 'a': None"),
+    ({"valuations": {"a": "1e99999"}}, "out of range"),
+])
+def test_malformed_input_exits_2_with_a_true_message(tmp_path, capsys, patch, message):
+    doc = {"source": "s", "agents": ["a"], "edges": [{"u": "s", "v": "a", "cost": 1}],
+           "valuations": {"a": 2}}
+    doc.update(patch)
+    path = _write(tmp_path, "bad.json", json.dumps(doc))
+    assert main(["solve", "--input", path, "--mechanism", "cvm"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "float" not in err and "Traceback" not in err
+
+
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(["solve", "--input", str(path), "--mechanism", "cvm"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_size_cap_exits_3(tmp_path, capsys):
     doc = {
         "source": "s",

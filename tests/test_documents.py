@@ -1,11 +1,14 @@
 """Instance document parsing and serialization."""
 
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from costshare import ValidationError, serialize_instance, truthful_profile
-from costshare.documents import load_document, parse_instance
+from costshare.documents import (MAX_NUMBER_DIGITS, load_document,
+                                 parse_instance)
 from costshare.fixtures import fig_triangle
 
 
@@ -72,3 +75,75 @@ def test_serialize_carries_reports():
     inst2, prof2 = load_document(text)
     assert prof2.reports == prof.reports
     assert inst2.graph == inst.graph
+
+
+def test_non_string_labels_are_rejected():
+    with pytest.raises(ValidationError, match="source must be a string label"):
+        parse_instance(_doc(source=5))
+    with pytest.raises(ValidationError, match="edge endpoint must be a string label"):
+        parse_instance(_doc(edges=[{"u": "s", "v": 1, "cost": 2}]))
+    doc = json.loads(_doc())
+    for bad in ([["a", 1]], ["sa"], [["s", "a", "b"]], "sa", [{"u": "s"}]):
+        doc["reports"] = {"a": {"edges": bad, "valuation": 1}}
+        with pytest.raises(ValidationError, match="expected pairs of labels"):
+            load_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [None, [1], {"n": 1}, True])
+def test_non_numbers_are_not_called_floats(bad):
+    with pytest.raises(ValidationError, match="malformed number") as info:
+        parse_instance(_doc(valuations={"a": bad, "b": 1}))
+    assert "float" not in str(info.value)
+
+
+def test_number_size_is_capped_before_it_is_built():
+    big = "9" * (MAX_NUMBER_DIGITS + 1)
+    for bad in ("1e99999", "0e99999", "1e-99999", "1" + "e" + "9" * 60,
+                big, f"1/{big}", int(big), "1" * 5000):
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match="too large|out of range|characters long"):
+            parse_instance(_doc(valuations={"a": bad, "b": 1}))
+        assert time.perf_counter() - t0 < 0.5
+    edge = "9" * MAX_NUMBER_DIGITS
+    inst = parse_instance(_doc(valuations={"a": edge, "b": f"1/{edge}"}))
+    assert inst.valuations["a"] == int(edge)
+    assert parse_instance(_doc(valuations={"a": "25e-1", "b": 0})).valuations["a"] == 2.5
+
+
+def test_oversized_json_ints_are_a_validation_error():
+    text = _doc().replace('"a": 3', '"a": ' + "7" * 5000)
+    with pytest.raises(ValidationError):
+        parse_instance(text)
+    with pytest.raises(ValidationError):
+        parse_instance("[" * 100000)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8) | st.sampled_from(["s", "a", "b", "3/2", "1e999", "-1", "0.5"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["s", "a", "b", "u", "v", "cost", "edges",
+                                       "valuation"]) | st.text(max_size=4),
+                      inner, max_size=4),
+    max_leaves=12)
+_label = st.sampled_from(["s", "a", "b", "c"]) | _json
+_edge = st.fixed_dictionaries({"u": _label, "v": _label, "cost": _json})
+_report = st.fixed_dictionaries({"edges": st.lists(st.lists(_label, max_size=3), max_size=3)
+                                 | _json, "valuation": _json})
+_near_valid = st.fixed_dictionaries(
+    {"source": _label,
+     "agents": st.lists(_label, max_size=3) | _json,
+     "edges": st.lists(_edge, max_size=4) | _json,
+     "valuations": st.dictionaries(st.sampled_from(["a", "b", "c", "s"]), _json, max_size=3)
+     | _json},
+    optional={"reports": st.dictionaries(st.sampled_from(["a", "b", "c"]), _report,
+                                         max_size=2) | _json})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_near_valid.map(json.dumps), _json.map(json.dumps), st.text(max_size=40)))
+def test_load_document_fuzz_raises_only_validation_errors(text):
+    try:
+        load_document(text)
+    except ValidationError:
+        pass

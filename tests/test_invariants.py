@@ -1,0 +1,59 @@
+"""Metamorphic invariants of the mechanisms.
+
+Scaling every edge cost and every valuation by the same positive k is a
+change of currency: it must scale every share, utility, the welfare, the
+total cost and each stage share by exactly k, and leave the selection, the
+witness tree and the stage structure alone. k = 1/7 turns integer costs into
+sevenths and mixed denominators into larger ones, so the solver's lcm
+scaling is exercised on every instance.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from costshare import MECHANISMS, Instance, generate_instance
+
+DENOMINATORS = (1, 2, 3, 5)
+
+
+def _corpus():
+    for seed in range(100):
+        inst = generate_instance(agents=1 + seed % 6, edge_probability=0.5, seed=seed)
+        if seed % 2:
+            edges = {e: Fraction(c, DENOMINATORS[k % len(DENOMINATORS)])
+                     for k, (e, c) in enumerate(sorted(inst.graph.edges().items()))}
+            inst = Instance(inst.source, sorted(inst.agents), edges, inst.valuations)
+        yield seed, inst
+
+
+def _scaled(inst: Instance, k) -> Instance:
+    return Instance(inst.source, sorted(inst.agents),
+                    {e: c * k for e, c in inst.graph.edges().items()},
+                    {a: v * k for a, v in inst.valuations.items()})
+
+
+def _scaled_view(alloc, k) -> dict:
+    """Every number of the allocation multiplied by k; structure as is."""
+    view = {
+        "selected": alloc.selected,
+        "shares": {i: x * k for i, x in alloc.shares.items()},
+        "utilities": {i: u * k for i, u in alloc.utilities.items()},
+        "social_welfare": alloc.social_welfare * k,
+        "total_cost": alloc.total_cost * k,
+        "edges": alloc.tree_edges,
+    }
+    if alloc.stage_trace is not None:
+        view["stages"] = [(r.selected, r.share * k, r.excluded, r.remaining, r.tree_edges)
+                          for r in alloc.stage_trace]
+    return view
+
+
+@pytest.mark.parametrize("k", [3, Fraction(1, 7)], ids=["k=3", "k=1/7"])
+@pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+def test_scaling_costs_and_values_scales_every_outcome(mechanism, k):
+    run = MECHANISMS[mechanism]
+    for seed, inst in _corpus():
+        base = run(inst)
+        scaled = run(_scaled(inst, k))
+        assert _scaled_view(scaled, 1) == _scaled_view(base, k), (seed, mechanism)

@@ -11,6 +11,7 @@ from costshare import (AgentReport, Instance, apply_deviation,
                        truthful_profile)
 from costshare.model import WeightedGraph, induced_graph
 from costshare.rsm import stage_solve
+from costshare.steiner import SteinerCache, contract_into_source
 from costshare.fixtures import (fig_line, fig_relay_recharge,
                                 fig_staged_network, fig_steiner_detour,
                                 fig_triangle, relay_recharge_deviation)
@@ -170,3 +171,63 @@ def test_hiding_edges_disconnects_cleanly():
     alloc = run_rsm(inst, prof)
     assert alloc.selected == frozenset({"a"})
     assert alloc.shares == {"a": 2, "b": 0}
+
+
+def test_stage_share_tie_then_a_cheaper_share():
+    """{a} and {a, b} tie at share 2, so the larger set becomes the best;
+    {b, c} at 3/2 must then beat it. Comparing against the tie's new size
+    with the old cost would see a best share of 1 and keep {a, b}."""
+    g = WeightedGraph({"s", "a", "b", "c"}, {("s", "a"): 2, ("s", "b"): 2, ("b", "c"): 1})
+    vals = {"a": 10, "b": 10, "c": 10}
+    assert stage_solve(g, "s", {"a", "b", "c"}, vals, 0) == (frozenset({"b", "c"}),
+                                                             Fraction(3, 2))
+    # without {b, c} available the tie stands: the larger set wins at 2
+    assert stage_solve(g, "s", {"a", "b"}, vals, 0) == (frozenset({"a", "b"}), 2)
+
+
+def test_rsm_welfare_matches_the_oracle():
+    """Welfare of the final selection is the reported value of the selected
+    agents minus the oracle's cheapest tree over them and the source, on the
+    induced graph, at truthful and deviated profiles."""
+    import random
+
+    from costshare.steiner import brute_force_steiner_oracle
+
+    served = 0
+    for seed in range(60):
+        inst = generate_instance(agents=1 + seed % 7, edge_probability=0.5, seed=seed)
+        rng = random.Random(seed)
+        prof = truthful_profile(inst)
+        profiles = [prof]
+        for _ in range(2):
+            i = rng.choice(sorted(inst.agents))
+            kept = frozenset(e for e in inst.true_edges_of(i) if rng.random() < 0.7)
+            profiles.append(apply_deviation(prof, i, AgentReport(
+                kept, Fraction(rng.randint(0, 18), 2))))
+        for p in profiles:
+            alloc = run_rsm(inst, p)
+            if not alloc.selected:
+                assert alloc.social_welfare == 0
+                continue
+            best = brute_force_steiner_oracle(induced_graph(p), alloc.selected | {"s"})
+            want = sum(p.valuation(i) for i in alloc.selected) - best.cost
+            assert alloc.social_welfare == want, seed
+            served += 1
+    assert served >= 100
+
+
+def test_shared_cache_takes_origins_from_each_run_graph():
+    """Two instances whose stage-2 graphs are equal in content but map back
+    to different original edges share one solver through the cache. Each
+    run's trace must still name its own instance's edges."""
+    relay = Instance("s", ["a", "b"], {("s", "a"): 1, ("a", "b"): 3}, {"a": 10, "b": 3})
+    direct = Instance("s", ["a", "b"], {("s", "a"): 1, ("s", "b"): 3}, {"a": 10, "b": 3})
+    cache = SteinerCache()
+    for inst, stage2 in ((relay, ("a", "b")), (direct, ("b", "s"))):
+        shared = run_rsm(inst, cache=cache)
+        fresh = run_rsm(inst)
+        assert [r.tree_edges for r in shared.stage_trace] == [
+            frozenset({("a", "s")}), frozenset({stage2})]
+        assert shared.to_json(with_stages=True) == fresh.to_json(with_stages=True)
+    contracted = [contract_into_source(inst.graph, {"s", "a"}, "s") for inst in (relay, direct)]
+    assert cache.solver(contracted[0]) is cache.solver(contracted[1])

@@ -214,3 +214,59 @@ def test_size_caps():
 def test_unknown_terminal_is_rejected():
     with pytest.raises(ValidationError, match="not a node"):
         SteinerSolver(LINE).cost({"s", "zz"})
+
+
+def test_solver_vs_oracle_on_mixed_denominator_costs():
+    """Costs with pairwise different denominators make the solver scale by
+    their lcm; every cost table entry and witness must still match the
+    oracle exactly."""
+    import random
+    from itertools import combinations
+
+    dens = (1, 2, 3, 4, 6, 7, 9)
+    for seed in range(30):
+        rng = random.Random(seed)
+        inst = generate_instance(agents=4 + seed % 3, edge_probability=0.5,
+                                 max_cost=9, seed=seed)
+        g = WeightedGraph(inst.graph.nodes,
+                          {e: Fraction(c, rng.choice(dens))
+                           for e, c in inst.graph.edges().items()})
+        solver = SteinerSolver(g)
+        nodes = sorted(g.nodes)
+        root, rest = nodes[0], tuple(nodes[1:])
+        table = solver.cost_table(root, rest)
+        for mask in range(1, 1 << len(rest)):
+            terms = frozenset({root} | {rest[b] for b in range(len(rest)) if mask >> b & 1})
+            want = _oracle(g, terms)
+            assert table[mask] == want, (seed, sorted(terms))
+            assert type(table[mask]) is (int if want.denominator == 1 else Fraction)
+            tree = solver.tree_for_mask(root, rest, mask)
+            assert g.total_cost(tree) == want
+        for terms in combinations(nodes, 2):
+            assert solver.cost(frozenset(terms)) == _oracle(g, frozenset(terms))
+
+
+def test_cost_table_is_memoized_per_query():
+    solver = SteinerSolver(TRIANGLE)
+    table = solver.cost_table("s", ("a", "b"))
+    assert solver.cost_table("s", ("a", "b")) is table
+    assert solver.cost_table("a", ("b", "s")) is not table
+
+
+def test_a_shared_solver_supplies_costs_not_origins():
+    """The cache matches graphs by nodes and costs only. Two contractions
+    with equal content but different origins share one solver; the tree it
+    returns is in the shared content's edge keys, and each caller maps it
+    back through its own graph's origins."""
+    relay = _graph({("s", "a"): 1, ("a", "b"): 3})
+    direct = _graph({("s", "a"): 1, ("s", "b"): 3})
+    g1 = contract_into_source(relay, frozenset({"s", "a"}), "s")
+    g2 = contract_into_source(direct, frozenset({"s", "a"}), "s")
+    assert g1 == g2 and g1.origins != g2.origins
+    cache = SteinerCache()
+    solver = cache.solver(g1)
+    assert cache.solver(g2) is solver and solver.graph is g1
+    edges = solver.tree_for_mask("s", ("b",), 1)
+    assert edges == frozenset({("b", "s")})
+    assert {g1.origin_of(e) for e in edges} == {("a", "b")}
+    assert {g2.origin_of(e) for e in edges} == {("b", "s")}

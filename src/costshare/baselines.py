@@ -17,8 +17,7 @@ import heapq
 
 from .allocation import Allocation
 from .model import (Edge, Instance, ReportProfile, ValidationError, Value,
-                    WeightedGraph, as_value, edge_key, induced_graph,
-                    truthful_profile)
+                    WeightedGraph, as_value, edge_key, truthful_profile)
 from .steiner import SteinerCache
 
 
@@ -59,11 +58,12 @@ def run_bird(instance: Instance, profile: ReportProfile | None = None,
 
     Every agent is selected and pays its attachment cost regardless of any
     reported valuation. The welfare is the reported value of everyone minus
-    the spanning tree's cost, so no Steiner solve is needed; ``cache`` is
-    accepted only so every mechanism shares one signature.
+    the spanning tree's cost, so no Steiner solve is needed; ``cache`` only
+    supplies the induced graph.
     """
     profile = profile if profile is not None else truthful_profile(instance)
-    graph = induced_graph(profile)
+    cache = cache or SteinerCache()
+    graph = cache.induced(profile)
     shares, tree = prim_shares(graph, instance.source)
     utilities = {i: as_value(instance.valuations[i] - shares[i])
                  for i in instance.agents}

@@ -16,10 +16,17 @@ payments cover at most the tree cost; they are not meant to balance it.
 from __future__ import annotations
 
 from .allocation import Allocation
-from .model import Instance, ReportProfile, ValidationError, Value, as_value, truthful_profile
-from .model import induced_graph
+from .model import (Instance, ReportProfile, ValidationError, Value, as_value,
+                    truthful_profile, unscale)
 from .steiner import SteinerCache
 from .welfare import WelfareTable, compute_delta_table
+
+
+def _scaled_critical_value(table: WelfareTable, g_mask: int, bit: int) -> int:
+    rest = g_mask ^ bit
+    alternative = table.scaled_sw_delta[rest]
+    contribution = table.scaled_value_sums[rest] - table.scaled_costs[g_mask]
+    return alternative - contribution
 
 
 def critical_value(table: WelfareTable, i: str) -> Value:
@@ -34,37 +41,42 @@ def critical_value(table: WelfareTable, i: str) -> Value:
     bit = 1 << table.agents.index(i)
     if not g_mask & bit:
         raise ValidationError(f"agent {i!r} is not selected, it has no critical value")
-    rest = g_mask ^ bit
-    alternative = table.sw_delta[rest]
-    contribution = table.value_sums[rest] - table.costs[g_mask]
-    return as_value(alternative - contribution)
+    return unscale(_scaled_critical_value(table, g_mask, bit), table.scale)
 
 
 def run_cvm(instance: Instance, profile: ReportProfile | None = None,
             cache: SteinerCache | None = None) -> Allocation:
-    """Run the mechanism on a report profile (truthful by default)."""
+    """Run the mechanism on a report profile (truthful by default).
+
+    Prices come off the welfare table's scaled ints; each share is turned
+    into an exact value once.
+    """
     profile = profile if profile is not None else truthful_profile(instance)
     cache = cache or SteinerCache()
     table = compute_delta_table(profile, cache=cache)
-    g_mask = table.delta_masks[table.full_mask]
+    scale = table.scale
+    full = table.full_mask
+    g_mask = table.delta_masks[full]
     selected = table.set_of(g_mask)
     shares: dict[str, Value] = {i: 0 for i in instance.agents}
     utilities: dict[str, Value] = {i: 0 for i in instance.agents}
-    for i in selected:
-        shares[i] = critical_value(table, i)
-        utilities[i] = as_value(instance.valuations[i] - shares[i])
-    solver = cache.solver(induced_graph(profile))
+    for b, i in enumerate(table.agents):
+        if g_mask >> b & 1:
+            shares[i] = x = unscale(_scaled_critical_value(table, g_mask, 1 << b), scale)
+            utilities[i] = as_value(instance.valuations[i] - x)
+    solver = cache.solver(cache.induced(profile))
+    total_cost = unscale(table.scaled_costs[g_mask], scale)
 
     def tree_thunk():
         edges = solver.tree_for_mask(instance.source, table.agents, g_mask)
-        return edges, table.costs[g_mask]
+        return edges, total_cost
 
     return Allocation(
         mechanism="cvm",
         selected=selected,
         shares=shares,
         utilities=utilities,
-        social_welfare=table.sw_delta[table.full_mask],
+        social_welfare=unscale(table.scaled_sw_delta[full], scale),
         tree_thunk=tree_thunk,
-        total_cost=table.costs[g_mask],
+        total_cost=total_cost,
     )

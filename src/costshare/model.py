@@ -66,6 +66,15 @@ def exact_div(a: Value, b: Value) -> Value:
     return as_value(Fraction(a) / Fraction(b))
 
 
+def unscale(n: int, scale: int) -> Value:
+    """The exact value ``n / scale`` of an int scaled by a positive int,
+    normalized like ``as_value``: an int when the division is exact."""
+    if scale == 1:
+        return n
+    q, r = divmod(n, scale)
+    return Fraction(n, scale) if r else q
+
+
 def edge_key(u: str, v: str) -> Edge:
     """Canonical undirected edge key: endpoints in label order."""
     if u == v:
@@ -78,10 +87,11 @@ class WeightedGraph:
 
     ``origins`` maps an edge of this graph back to an edge of the graph it
     was derived from (used after contraction); it defaults to the identity.
-    Hashable by content so solvers can be memoized per graph.
+    Hashable by content so solvers can be memoized per graph; the hash is
+    computed once, since graphs serve as dict keys on every cache lookup.
     """
 
-    __slots__ = ("nodes", "_costs", "_adj", "origins", "_fingerprint")
+    __slots__ = ("nodes", "_costs", "_adj", "origins", "_fingerprint", "_hash")
 
     def __init__(self, nodes: Iterable[str], costs: Mapping[Edge, Value],
                  origins: Mapping[Edge, Edge] | None = None):
@@ -107,6 +117,7 @@ class WeightedGraph:
             tuple(sorted(self.nodes)),
             tuple(sorted((u, v, c) for (u, v), c in cleaned.items())),
         )
+        self._hash = hash(self._fingerprint)
 
     def cost(self, u: str, v: str) -> Value:
         return self._costs[edge_key(u, v)]
@@ -158,7 +169,7 @@ class WeightedGraph:
         return isinstance(other, WeightedGraph) and self._fingerprint == other._fingerprint
 
     def __hash__(self):
-        return hash(self._fingerprint)
+        return self._hash
 
     def __repr__(self):
         return f"WeightedGraph({sorted(self.nodes)}, {len(self._costs)} edges)"
@@ -168,10 +179,11 @@ class Instance:
     """The true world: source label, agent set, edge costs, true valuations.
 
     The full graph must be connected and the source must not be an agent.
-    Immutable after construction.
+    Immutable after construction. Equality and hashing are by identity, so
+    an instance can key memos of its own derived graphs.
     """
 
-    __slots__ = ("source", "agents", "graph", "valuations")
+    __slots__ = ("source", "agents", "graph", "valuations", "_order", "_true_edges")
 
     def __init__(self, source: str, agents: Iterable[str],
                  edges: Mapping[Edge, Value], valuations: Mapping[str, Value]):
@@ -197,13 +209,17 @@ class Instance:
         self.valuations = vals
         if not self.graph.is_connected():
             raise ValidationError("the true graph must be connected")
+        self._order = tuple(sorted(self.agents))
+        # Every profile validation reads these, once per agent.
+        self._true_edges = {v: frozenset(edge_key(v, w) for w in self.graph.adjacent(v))
+                            for v in self.graph.nodes}
 
     def agent_order(self) -> tuple[str, ...]:
-        return tuple(sorted(self.agents))
+        return self._order
 
     def true_edges_of(self, i: str) -> frozenset[Edge]:
         """Canonical keys of the edges truly incident to node i."""
-        return frozenset(edge_key(i, w) for w in self.graph.adjacent(i))
+        return self._true_edges[i]
 
     def __repr__(self):
         return (f"Instance(source={self.source!r}, agents={sorted(self.agents)}, "
@@ -238,11 +254,12 @@ class ReportProfile:
 
     def __post_init__(self):
         reports = dict(self.reports)
-        if set(reports) != set(self.instance.agents):
+        if reports.keys() != self.instance.agents:
             raise ValidationError("profile must cover exactly the agent set")
+        true_edges = self.instance.true_edges_of
         for i, rep in reports.items():
-            extra = rep.edges - self.instance.true_edges_of(i)
-            if extra:
+            if not rep.edges <= true_edges(i):
+                extra = rep.edges - true_edges(i)
                 raise ValidationError(
                     f"agent {i!r} declares edges it does not have: {sorted(extra)}")
         object.__setattr__(self, "reports", reports)

@@ -30,8 +30,7 @@ from .baselines import run_bird
 from .cvm import run_cvm
 from .model import (AgentReport, Instance, ReportProfile, SizeCapError,
                     ValidationError, Value, as_value, apply_deviation,
-                    edge_key, exact_div, induced_graph, truthful_profile,
-                    value_to_json)
+                    edge_key, exact_div, truthful_profile, value_to_json)
 from .rsm import run_rsm
 from .steiner import SteinerCache
 
@@ -40,6 +39,10 @@ MECHANISMS = {"cvm": run_cvm, "rsm": run_rsm, "bird": run_bird}
 HALF = Fraction(1, 2)
 MAX_AGENTS = 12
 EFFICIENCY_CAP = 8
+# Valuations per agent a deviation grid may hold. Every edge subset of an
+# agent is paired with every grid point, so the grid is counted before it
+# is built; a tiny step or a huge valuation ends in SizeCapError instead.
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,12 @@ def valuation_grid(instance: Instance, i: str, step: Value = HALF) -> list[Value
     if step <= 0:
         raise ValidationError("grid step must be positive")
     vmax = max(instance.valuations.values(), default=0)
-    values = set()
-    k = 0
-    while k * step <= vmax + 1:
-        values.add(as_value(k * step))
-        k += 1
+    points = (vmax + 1) // step + 1
+    if points > MAX_GRID_POINTS:
+        raise SizeCapError(
+            f"grid step {value_to_json(step)} gives {points} valuations per agent, "
+            f"cap is {MAX_GRID_POINTS}")
+    values = {as_value(k * step) for k in range(points)}
     values.add(instance.valuations[i])
     return sorted(values, key=Fraction)
 
@@ -272,7 +276,7 @@ def _welfare_optimum(instance: Instance, profile: ReportProfile,
     """Best reachable welfare and its first witness set, by direct scan over
     agent subsets (kept independent of the recurrence used by selection)."""
     agents = tuple(sorted(instance.agents))
-    solver = cache.solver(induced_graph(profile))
+    solver = cache.solver(cache.induced(profile))
     costs = solver.cost_table(instance.source, agents)
     best: Value = 0
     best_mask = 0

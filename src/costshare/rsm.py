@@ -18,8 +18,13 @@ for one of its edges a second time. The union tree then costs less than the
 payments collected; see the relay recharge fixture for a worked example.
 
 Ties on the minimal share prefer the larger set, then the lexicographically
-smallest sorted label list. Shares are compared by cross-multiplying costs
-and set sizes, so only each stage's winning share is built as a Fraction.
+smallest sorted label list. A stage scans on ints: its cost table and the
+pool's reported valuations are scaled by one common factor, shares are
+compared by cross-multiplying costs and set sizes, and only the winning
+share is built as an exact value.
+
+A run reads its induced graph and every stage's contracted graph from the
+SteinerCache, so runs that differ only in reported valuations share them.
 
 The welfare of the final selection is read from stage 1's cost table: stage
 1 runs on the uncontracted graph over the whole agent pool, so its table
@@ -30,8 +35,8 @@ from __future__ import annotations
 
 from .allocation import Allocation, StageRecord
 from .model import (Instance, ReportProfile, Value, WeightedGraph, as_value,
-                    exact_div, induced_graph, truthful_profile)
-from .steiner import SteinerCache, contract_into_source
+                    truthful_profile, unscale)
+from .steiner import SteinerCache, scaled_to_ints
 
 
 def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
@@ -45,17 +50,16 @@ def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
     solver = cache.solver(graph)
     agents = tuple(sorted(remaining))
     n = len(agents)
-    costs = solver.cost_table(source, agents)
-    vals = [reported[a] for a in agents]
-    min_val: list = [None] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = vals[low.bit_length() - 1]
-        rest = min_val[mask ^ low]
-        min_val[mask] = v if rest is None or v < rest else rest
-    # Shares c / size are compared by cross-multiplication; only the
-    # winner's share becomes a Fraction.
-    x_num, x_den = x_prev.numerator, x_prev.denominator
+    scale, costs, vals = scaled_to_ints(
+        solver, solver.cost_table(source, agents), [reported[a] for a in agents])
+    min_val = [None]
+    for v in vals:
+        min_val += [v if m is None or v < m else m for m in min_val]
+    # With X = c / size and everything scaled: X >= x_prev is
+    # c * x_den >= x_num * scale * size, and no member below X is
+    # min_val * size >= c.
+    x_den = x_prev.denominator
+    x_num = x_prev.numerator * scale
     best_c = None
     best_size = 0
     best_mask = 0
@@ -77,11 +81,15 @@ def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
             # together, so later comparisons see the same ratio.
             if size > best_size:
                 best_c, best_size, best_mask = c, size, mask
-            elif size == best_size and _labels(agents, mask) < _labels(agents, best_mask):
-                best_mask = mask
+            elif size == best_size:
+                # Of two sets of one size, the smaller sorted label list
+                # holds the smallest label that only one of them has.
+                diff = mask ^ best_mask
+                if mask & diff & -diff:
+                    best_mask = mask
     if best_c is None:
         return None
-    return frozenset(_labels(agents, best_mask)), exact_div(best_c, best_size)
+    return frozenset(_labels(agents, best_mask)), unscale(best_c, scale * best_size)
 
 
 def _labels(agents: tuple[str, ...], mask: int) -> tuple[str, ...]:
@@ -93,7 +101,7 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
     """Run the mechanism on a report profile (truthful by default)."""
     profile = profile if profile is not None else truthful_profile(instance)
     cache = cache or SteinerCache()
-    base = induced_graph(profile)
+    base = cache.induced(profile)
     source = instance.source
     reported = profile.reported_valuations()
 
@@ -102,7 +110,7 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
     x_prev: Value = 0
     stages = []  # (selected, share, excluded, remaining after, graph, pool order)
     while remaining:
-        graph = contract_into_source(base, merged, source)
+        graph = cache.contracted(base, merged, source)
         pool = tuple(sorted(remaining))
         picked = stage_solve(graph, source, remaining, reported, x_prev, cache)
         if picked is None:

@@ -11,7 +11,9 @@ than a sentinel cost.
 Inside a solver everything is a plain int: edge costs are scaled once by the
 lcm of their denominators, and an int sentinel above every real cost stands
 for "no path". Values leave as exact ints or Fractions only through
-``cost_table``, whose tables are memoized per query.
+``cost_table``, whose tables are memoized per query. ``scaled_to_ints``
+puts such a table and a list of valuations back on one int scale, for
+callers that do their own arithmetic on both.
 
 A run stores only the dp values. Witness trees are reconstructed by
 re-deriving, for each mask on the backtracking path, the merge and grow
@@ -25,18 +27,31 @@ within a thread. The cache matches graphs by content (nodes and costs), not
 by ``origins``, so a solver may serve a graph other than ``solver.graph``:
 it supplies costs and edges of that content, and callers map edges back
 through their own graph's ``origins``.
+
+The cache also memoizes the graphs a run derives from its reports, because a
+deviation sweep varies one agent's valuation far more often than its edges:
+
+- ``induced`` is keyed by the instance object and each agent's declared edge
+  set in sorted agent order, which is everything the induced graph depends
+  on. Instances compare by identity and the key holds the instance, so it
+  stays alive while the entry exists; an ``id()`` key could instead be
+  reused by a later object once the first is collected and return a stale
+  graph.
+- ``contracted`` is keyed by the graph's content and its ``origins`` (a
+  contraction maps edges back through its input's origins), the merged set
+  and the source. Merging the source alone is the identity and returns the
+  graph itself, ``origins`` included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable
 
-from .model import (Edge, SizeCapError, ValidationError, Value, WeightedGraph,
-                    as_value, edge_key)
+from .model import (Edge, ReportProfile, SizeCapError, ValidationError, Value,
+                    WeightedGraph, as_value, edge_key, induced_graph, unscale)
 
 MAX_NODES = 14
 # Enough for a 12-agent instance plus its source; the subset dynamics are
@@ -92,11 +107,12 @@ def _kruskal(nodes: Iterable[str], edges: list[tuple[Edge, Value]]):
 class SteinerSolver:
     """Per-graph exact Steiner solver with memoized DP runs.
 
-    Edge costs are scaled once to ints by the lcm of their denominators;
-    shortest paths and the DP run on those ints, and ``_unscale`` turns a
-    value back into an exact int or Fraction. A pair of nodes with no path
-    between them is ``_inf`` apart: one more than the sum of all costs, so
-    any value at or above it marks an infeasible subset.
+    Edge costs are scaled once to ints by the lcm of their denominators,
+    ``scale``; shortest paths and the DP run on those ints, and
+    ``_unscale`` turns a value back into an exact int or Fraction. A pair
+    of nodes with no path between them is ``_inf`` apart: one more than the
+    sum of all costs, so any value at or above it marks an infeasible
+    subset.
 
     A run is keyed by the terminal tuple; its dp table answers the cost of
     connecting any terminal subset to any node, so callers that sweep
@@ -115,21 +131,18 @@ class SteinerSolver:
         for c in costs.values():
             if not isinstance(c, int):
                 scale = lcm(scale, c.denominator)
-        self._scale = scale
+        self.scale = scale
         if scale != 1:
             costs = {e: int(c * scale) for e, c in costs.items()}
         self._inf = sum(costs.values()) + 1
         self._dist, self._nxt = self._shortest_paths(costs)
         self._runs: dict[tuple[int, ...], list] = {}
-        self._tables: dict[tuple[int, tuple[int, ...]], list] = {}
+        self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
 
     def _unscale(self, c: int) -> Value | None:
         if c >= self._inf:
             return None
-        if self._scale == 1:
-            return c
-        q, r = divmod(c, self._scale)
-        return Fraction(c, self._scale) if r else q
+        return unscale(c, self.scale)
 
     def _shortest_paths(self, int_costs: dict[Edge, int]):
         n, inf = self._n, self._inf
@@ -231,12 +244,11 @@ class SteinerSolver:
         list, indexed by subset bitmask over the given order. None marks an
         infeasible (disconnected) subset. The list is memoized per query and
         shared between callers, so it must not be modified."""
-        root = self._term_indices([root_label])[0]
-        terms = tuple(self._term_indices(terminal_labels))
-        key = (root, terms)
+        key = (root_label, tuple(terminal_labels))
         table = self._tables.get(key)
         if table is None:
-            dp = self._run(terms)
+            root = self._term_indices([root_label])[0]
+            dp = self._run(tuple(self._term_indices(terminal_labels)))
             unscale = self._unscale
             table = [0] + [unscale(dp[mask][root]) for mask in range(1, len(dp))]
             self._tables[key] = table
@@ -342,19 +354,66 @@ class SteinerSolver:
         return SteinerResult(tset, table[full], edges)
 
 
+def scaled_to_ints(solver: SteinerSolver, table: list, values) -> tuple[int, list, list[int]]:
+    """Scale a cost table of ``solver`` and a list of exact values to ints by
+    one common factor: the lcm of the solver's cost scale and the values'
+    denominators. Returns (factor, int table, int values); infeasible table
+    entries stay None. ``model.unscale`` turns a result back into an exact
+    value. The table's Fractions have denominators dividing the solver's
+    scale, so every product is an exact int."""
+    scale = solver.scale
+    for v in values:
+        if not isinstance(v, int):
+            scale = lcm(scale, v.denominator)
+    if scale == 1:
+        return 1, table, list(values)
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    if solver.scale == 1:  # the table holds only ints, and None
+        table = [None if c is None else c * scale for c in table]
+    else:
+        table = [None if c is None else c.numerator * (scale // c.denominator)
+                 for c in table]
+    return scale, table, ints
+
+
 class SteinerCache:
     """Caller-owned memo of solvers keyed by graph content, so repeated
-    queries against the same induced graph reuse one DP."""
+    queries against the same induced graph reuse one DP, and of the induced
+    and contracted graphs that runs derive (see the module docstring)."""
 
     def __init__(self):
         self._solvers: dict = {}
+        self._induced: dict = {}
+        self._contracted: dict = {}
 
     def solver(self, graph: WeightedGraph) -> SteinerSolver:
-        s = self._solvers.get(graph.fingerprint)
+        s = self._solvers.get(graph)
         if s is None:
-            s = SteinerSolver(graph)
-            self._solvers[graph.fingerprint] = s
+            s = self._solvers[graph] = SteinerSolver(graph)
         return s
+
+    def induced(self, profile: ReportProfile) -> WeightedGraph:
+        """``induced_graph(profile)``, shared by every profile of the same
+        instance whose agents declare the same edges."""
+        inst = profile.instance
+        reports = profile.reports
+        key = (inst, tuple([reports[a].edges for a in inst.agent_order()]))
+        g = self._induced.get(key)
+        if g is None:
+            g = self._induced[key] = induced_graph(profile)
+        return g
+
+    def contracted(self, graph: WeightedGraph, merged, source: str) -> WeightedGraph:
+        """``contract_into_source(graph, merged, source)``, memoized; the
+        graph itself when only the source is merged."""
+        merged = frozenset(merged)
+        if merged == frozenset((source,)) and source in graph.nodes:
+            return graph
+        key = (graph, frozenset(graph.origins.items()), merged, source)
+        g = self._contracted.get(key)
+        if g is None:
+            g = self._contracted[key] = contract_into_source(graph, merged, source)
+        return g
 
 
 def steiner_cost(graph: WeightedGraph, terminals,

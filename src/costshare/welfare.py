@@ -12,15 +12,21 @@ Because the recurrence for S only ever reads entries of subsets of S, the
 table restricted to any ground set agrees with a fresh run on that ground
 set; mechanisms rely on this to read delta over reduced agent pools from
 one full table.
+
+The recurrence runs on ints: connection costs and reported valuations are
+scaled by one common factor (the lcm of their denominators) before the
+table is built. A table keeps those ints with the factor, and its public
+value accessors divide back to exact ints or Fractions only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
-from .model import SizeCapError, ValidationError, Value, as_value
-from .model import ReportProfile, induced_graph
-from .steiner import SteinerCache
+from .model import SizeCapError, ValidationError, Value, as_value, unscale
+from .model import ReportProfile
+from .steiner import SteinerCache, scaled_to_ints
 
 WELFARE_CAP = 12
 
@@ -30,17 +36,43 @@ class WelfareTable:
     """Full welfare recurrence output over one ground set of agents.
 
     Masks index subsets of ``agents`` (sorted order, bit b is agents[b]).
-    ``sw_delta[m]`` is the welfare of delta of the subset, ``raw_sw[m]`` the
-    subset's own welfare (None when it cannot be connected).
+    The ``scaled_*`` tuples hold the table as ints, every value multiplied
+    by ``scale``: ``scaled_sw_delta[m]`` is the welfare of delta of the
+    subset, ``scaled_raw_sw[m]`` the subset's own welfare and
+    ``scaled_costs[m]`` its connection cost (both None when it cannot be
+    connected), ``scaled_value_sums[m]`` its reported value. ``sw_delta``,
+    ``raw_sw``, ``costs`` and ``value_sums`` are the same tables as exact
+    values.
     """
 
     agents: tuple[str, ...]
     source: str
     delta_masks: tuple[int, ...]
-    sw_delta: tuple[Value, ...]
-    raw_sw: tuple
-    costs: tuple
-    value_sums: tuple[Value, ...]
+    scale: int
+    scaled_sw_delta: tuple[int, ...]
+    scaled_raw_sw: tuple
+    scaled_costs: tuple
+    scaled_value_sums: tuple[int, ...]
+
+    def _exact(self, scaled: int | None) -> Value | None:
+        """The exact value of one scaled entry."""
+        return None if scaled is None else unscale(scaled, self.scale)
+
+    @cached_property
+    def sw_delta(self) -> tuple[Value, ...]:
+        return tuple(map(self._exact, self.scaled_sw_delta))
+
+    @cached_property
+    def raw_sw(self) -> tuple:
+        return tuple(map(self._exact, self.scaled_raw_sw))
+
+    @cached_property
+    def costs(self) -> tuple:
+        return tuple(map(self._exact, self.scaled_costs))
+
+    @cached_property
+    def value_sums(self) -> tuple[Value, ...]:
+        return tuple(map(self._exact, self.scaled_value_sums))
 
     def mask_of(self, S) -> int:
         idx = {a: b for b, a in enumerate(self.agents)}
@@ -58,7 +90,7 @@ class WelfareTable:
         return self.set_of(self.delta_masks[self.mask_of(S)])
 
     def sw_delta_of(self, S) -> Value:
-        return self.sw_delta[self.mask_of(S)]
+        return self._exact(self.scaled_sw_delta[self.mask_of(S)])
 
     @property
     def full_mask(self) -> int:
@@ -75,11 +107,20 @@ def social_welfare(profile: ReportProfile, S, cache: SteinerCache | None = None)
     if not S:
         return 0
     cache = cache or SteinerCache()
-    solver = cache.solver(induced_graph(profile))
+    solver = cache.solver(cache.induced(profile))
     c = solver.cost(S | {inst.source})
     if c is None:
         return None
     return as_value(sum(profile.valuation(i) for i in S) - c)
+
+
+@lru_cache(maxsize=None)
+def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every mask over n agents, the masks with one member fewer, the
+    largest label removed first."""
+    return ((),) + tuple(
+        tuple(mask ^ (1 << b) for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1)
+        for mask in range(1, 1 << n))
 
 
 def compute_delta_table(profile: ReportProfile, cache: SteinerCache | None = None,
@@ -87,50 +128,42 @@ def compute_delta_table(profile: ReportProfile, cache: SteinerCache | None = Non
     """Run the welfare recurrence over all subsets of the ground set
     (default: every agent) for one report profile."""
     inst = profile.instance
-    agents = tuple(sorted(ground)) if ground is not None else tuple(sorted(inst.agents))
+    agents = tuple(sorted(ground)) if ground is not None else inst.agent_order()
     if not frozenset(agents) <= inst.agents:
         raise ValidationError("ground set must consist of agents")
     if len(agents) > cap:
         raise SizeCapError(f"{len(agents)} agents exceed the welfare cap of {cap}")
     cache = cache or SteinerCache()
-    solver = cache.solver(induced_graph(profile))
-    costs = solver.cost_table(inst.source, agents)
-    vals = [profile.valuation(a) for a in agents]
-    n = len(agents)
-    size = 1 << n
-    value_sums = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        value_sums[mask] = value_sums[mask ^ low] + vals[low.bit_length() - 1]
+    solver = cache.solver(cache.induced(profile))
+    reports = profile.reports
+    scale, costs, vals = scaled_to_ints(
+        solver, solver.cost_table(inst.source, agents),
+        [reports[a].valuation for a in agents])
+    size = 1 << len(agents)
+    value_sums = [0]
+    for v in vals:
+        value_sums += [s + v for s in value_sums]
+    raw_sw = [None if c is None else s - c for s, c in zip(value_sums, costs)]
     delta_masks = [0] * size
-    sw_delta: list[Value] = [0] * size
-    raw_sw: list = [0] * size
+    sw_delta = [0] * size
+    preds = _predecessors(len(agents))
     for mask in range(1, size):
-        best = None
-        best_pred = 0
         # Removing the largest label first makes the first maximum the
         # lexicographically smallest predecessor set.
-        for b in range(n - 1, -1, -1):
-            if mask >> b & 1:
-                pred = mask ^ (1 << b)
-                if best is None or sw_delta[pred] > best:
-                    best = sw_delta[pred]
-                    best_pred = pred
-        c = costs[mask]
-        if c is None:
-            own = None
-        else:
-            own = value_sums[mask] - c
-            if not isinstance(own, int):
-                own = as_value(own)
-        raw_sw[mask] = own
+        best = None
+        for pred in preds[mask]:
+            w = sw_delta[pred]
+            if best is None or w > best:
+                best = w
+                best_pred = pred
+        own = raw_sw[mask]
         if own is not None and own >= best:
             delta_masks[mask] = mask
             sw_delta[mask] = own
         else:
             delta_masks[mask] = delta_masks[best_pred]
             sw_delta[mask] = best
-    return WelfareTable(agents, inst.source, tuple(delta_masks), tuple(sw_delta),
+    return WelfareTable(agents, inst.source, tuple(delta_masks), scale, tuple(sw_delta),
                         tuple(raw_sw), tuple(costs), tuple(value_sums))
 
 

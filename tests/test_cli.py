@@ -100,6 +100,26 @@ def test_size_cap_exits_3(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_oversized_deviation_grid_exits_3_before_it_is_built(tmp_path, capsys):
+    """The grid is counted first: a tiny step, or a huge valuation at the
+    default step, is refused with the step and the count in the message."""
+    from costshare.properties import MAX_GRID_POINTS
+
+    path = _write(tmp_path, "line.json", serialize_instance(fig_line()))  # vmax 10
+    for step, count in (("1/1000000", 11_000_001), ("1/20000", 220_001)):
+        assert main(["check", "--property", "truthfulness", "--mechanism", "cvm",
+                     "--input", path, "--step", step]) == 3
+        err = capsys.readouterr().err
+        assert f"grid step {step} gives {count} valuations" in err
+        assert str(MAX_GRID_POINTS) in err
+    doc = json.loads(serialize_instance(fig_line()))
+    doc["valuations"]["b"] = "9" * 30
+    path = _write(tmp_path, "huge.json", json.dumps(doc))
+    assert main(["check", "--property", "individual-rationality", "--mechanism", "rsm",
+                 "--input", path]) == 3
+    assert f"gives {2 * 10 ** 30 + 1} valuations" in capsys.readouterr().err
+
+
 def test_check_violation_exits_1(tmp_path, capsys):
     path = _write(tmp_path, "sq.json", serialize_instance(fig_bird_square()))
     code = main(["check", "--property", "truthfulness", "--mechanism", "bird",

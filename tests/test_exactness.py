@@ -1,0 +1,126 @@
+"""Exactness referees for the scaled-int arithmetic.
+
+The welfare recurrence and the stage scan run on ints scaled by the lcm of
+the cost and valuation denominators. Here they get costs and valuations over
+mixed denominators and are held to references that compute on exact
+rationals throughout: the recursive definition of delta priced by the
+brute-force oracle, and a plain Fraction scan of every stage candidate with
+the same tie rules. The truthful profile and single-agent deviations of one
+instance share one cache, as they do in a deviation sweep.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from costshare import (AgentReport, Instance, apply_deviation,
+                       generate_instance, truthful_profile)
+from costshare.model import induced_graph
+from costshare.rsm import stage_solve
+from costshare.steiner import SteinerCache, brute_force_steiner_oracle
+from costshare.welfare import compute_delta_table
+
+from test_welfare import _reference_delta
+
+DENOMINATORS = (1, 2, 3, 7)
+
+
+def _exact_type(value):
+    return int if Fraction(value).denominator == 1 else Fraction
+
+
+def _mixed_profiles(seed: int):
+    """An instance whose costs and valuations have denominators drawn from
+    DENOMINATORS, its truthful profile, and three single-agent deviations
+    (a random subset of the agent's edges and a mixed-denominator value)."""
+    rng = random.Random(seed)
+    base = generate_instance(agents=2 + seed % 4, edge_probability=0.6,
+                             max_cost=6, max_valuation=9, seed=seed)
+    inst = Instance(
+        base.source, sorted(base.agents),
+        {e: Fraction(c, rng.choice(DENOMINATORS))
+         for e, c in sorted(base.graph.edges().items())},
+        {a: Fraction(v, rng.choice(DENOMINATORS))
+         for a, v in sorted(base.valuations.items())})
+    truthful = truthful_profile(inst)
+    profiles = [truthful]
+    for _ in range(3):
+        i = rng.choice(sorted(inst.agents))
+        kept = frozenset(e for e in sorted(inst.true_edges_of(i)) if rng.random() < 0.7)
+        value = Fraction(rng.randint(0, 30), rng.choice(DENOMINATORS))
+        profiles.append(apply_deviation(truthful, i, AgentReport(kept, value)))
+    return inst, profiles, rng
+
+
+@given(seed=st.integers(min_value=0, max_value=5_000))
+@settings(max_examples=60, deadline=None)
+def test_delta_table_matches_the_rational_reference(seed):
+    inst, profiles, _ = _mixed_profiles(seed)
+    cache = SteinerCache()
+    for prof in profiles:
+        table = compute_delta_table(prof, cache)
+        rec = _reference_delta(prof)
+        graph = induced_graph(prof)
+        for mask in range(1 << len(table.agents)):
+            S = table.set_of(mask)
+            want_w, want_set = rec(S)
+            assert table.sw_delta[mask] == want_w, (seed, sorted(S))
+            assert type(table.sw_delta[mask]) is _exact_type(want_w)
+            assert table.sw_delta_of(S) == want_w
+            assert table.set_of(table.delta_masks[mask]) == want_set, (seed, sorted(S))
+            value = sum((prof.valuation(a) for a in S), Fraction(0))
+            assert table.value_sums[mask] == value
+            res = brute_force_steiner_oracle(graph, S | {inst.source})
+            if res is None:
+                assert table.costs[mask] is None and table.raw_sw[mask] is None
+            else:
+                assert table.costs[mask] == res.cost
+                assert table.raw_sw[mask] == value - res.cost
+                assert type(table.raw_sw[mask]) is _exact_type(value - res.cost)
+
+
+def _reference_stage(graph, source, remaining, reported, x_prev):
+    """Every candidate set priced by the oracle, its share a Fraction; the
+    least share wins, then the larger set, then the smaller label list."""
+    pool = sorted(remaining)
+    best = None
+    for mask in range(1, 1 << len(pool)):
+        S = tuple(a for b, a in enumerate(pool) if mask >> b & 1)
+        res = brute_force_steiner_oracle(graph, frozenset(S) | {source})
+        if res is None:
+            continue
+        share = Fraction(res.cost) / len(S)
+        if share < x_prev or min(reported[a] for a in S) < share:
+            continue
+        key = (share, -len(S), S)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    return frozenset(best[2]), best[0]
+
+
+@given(seed=st.integers(min_value=0, max_value=5_000))
+@settings(max_examples=60, deadline=None)
+def test_stage_solve_matches_a_fraction_scan(seed):
+    inst, profiles, rng = _mixed_profiles(seed)
+    cache = SteinerCache()
+    agents = sorted(inst.agents)
+    for prof in profiles:
+        base = cache.induced(prof)
+        reported = prof.reported_valuations()
+        for _ in range(3):
+            # Some agents were merged by earlier stages, some priced out;
+            # the rest are still in the pool.
+            merged = {a for a in agents if rng.random() < 0.3}
+            out = {a for a in agents if a not in merged and rng.random() < 0.2}
+            remaining = frozenset(agents) - merged - out
+            x_prev = (0 if rng.random() < 0.5
+                      else Fraction(rng.randint(0, 12), rng.choice(DENOMINATORS)))
+            graph = cache.contracted(base, merged | {inst.source}, inst.source)
+            got = stage_solve(graph, inst.source, remaining, reported, x_prev, cache)
+            want = _reference_stage(graph, inst.source, remaining, reported, x_prev)
+            assert got == want, (seed, sorted(merged), sorted(remaining), x_prev)
+            if want is not None:
+                assert type(got[1]) is _exact_type(want[1])

@@ -6,8 +6,13 @@ total cost and each stage share by exactly k, and leave the selection, the
 witness tree and the stage structure alone. k = 1/7 turns integer costs into
 sevenths and mixed denominators into larger ones, so the solver's lcm
 scaling is exercised on every instance.
+
+Renaming every node, the source included, by a map that preserves label
+order must leave the outcome the same under that map: every tie rule breaks
+on label order, and graph memos key on agents in sorted order.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,3 +62,55 @@ def test_scaling_costs_and_values_scales_every_outcome(mechanism, k):
         base = run(inst)
         scaled = run(_scaled(inst, k))
         assert _scaled_view(scaled, 1) == _scaled_view(base, k), (seed, mechanism)
+
+
+def _relabeling(inst: Instance, seed: int) -> dict:
+    """A random order-preserving map from the instance's labels, the
+    source's included, to new ones."""
+    labels = sorted(inst.agents | {inst.source})
+    rng = random.Random(seed)
+    fresh = sorted(f"n{k:03d}" for k in rng.sample(range(1000), len(labels)))
+    return dict(zip(labels, fresh))
+
+
+def _renamed(inst: Instance, m: dict) -> Instance:
+    return Instance(m[inst.source], [m[a] for a in sorted(inst.agents)],
+                    {(m[u], m[v]): c for (u, v), c in inst.graph.edges().items()},
+                    {m[a]: v for a, v in inst.valuations.items()})
+
+
+def _renamed_view(alloc, m: dict) -> dict:
+    """The allocation with every label passed through m."""
+    def nodes(xs):
+        return frozenset(m[x] for x in xs)
+
+    def edges(es):
+        return frozenset(tuple(sorted((m[u], m[v]))) for u, v in es)
+
+    view = {
+        "selected": nodes(alloc.selected),
+        "shares": {m[i]: x for i, x in alloc.shares.items()},
+        "utilities": {m[i]: u for i, u in alloc.utilities.items()},
+        "social_welfare": alloc.social_welfare,
+        "total_cost": alloc.total_cost,
+        "edges": edges(alloc.tree_edges),
+    }
+    if alloc.stage_trace is not None:
+        view["stages"] = [(nodes(r.selected), r.share, nodes(r.excluded),
+                           nodes(r.remaining), edges(r.tree_edges))
+                          for r in alloc.stage_trace]
+    return view
+
+
+@pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+def test_order_preserving_relabeling_keeps_every_outcome(mechanism):
+    run = MECHANISMS[mechanism]
+    for seed, inst in _corpus():
+        if seed % 2:
+            # The generated source "s" sorts after every agent; here it
+            # sorts first instead.
+            inst = _renamed(inst, {x: x for x in inst.agents} | {inst.source: "0"})
+        m = _relabeling(inst, seed)
+        same = {x: x for x in m.values()}
+        assert _renamed_view(run(_renamed(inst, m)), same) == _renamed_view(run(inst), m), \
+            (seed, mechanism)

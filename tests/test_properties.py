@@ -200,3 +200,35 @@ def test_reports_serialize_for_any_generated_instance(seed):
     assert doc["property"] == "budget-balance"
     assert doc["verdict"] in ("holds", "violated")
     assert isinstance(doc["instances_checked"], int)
+
+
+def test_induced_memo_agrees_with_induced_graph_across_a_sweep(monkeypatch):
+    """A truthfulness sweep builds one induced graph per distinct edge
+    declaration, and every deviated profile's memoized graph equals a
+    fresh induced_graph."""
+    import costshare.steiner as steiner_module
+    from costshare import apply_deviation, truthful_profile
+    from costshare.model import induced_graph
+    from costshare.steiner import SteinerCache
+
+    built = []
+
+    def counting(profile):
+        built.append(profile)
+        return induced_graph(profile)
+
+    monkeypatch.setattr(steiner_module, "induced_graph", counting)
+    inst = generate_instance(agents=4, edge_probability=0.6, seed=5)
+    cache = SteinerCache()
+    assert check_truthfulness(inst, "rsm", cache=cache).holds
+    declarations = 1 + sum((1 << len(inst.true_edges_of(i))) - 1 for i in inst.agents)
+    assert len(built) == declarations
+    base = truthful_profile(inst)
+    checked = 0
+    for i in sorted(inst.agents):
+        for rep in enumerate_deviations(inst, i):
+            p = apply_deviation(base, i, rep)
+            got, want = cache.induced(p), induced_graph(p)
+            assert got == want and got.edges() == want.edges() and not got.origins
+            checked += 1
+    assert len(built) == declarations and checked > 100

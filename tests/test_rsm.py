@@ -231,3 +231,28 @@ def test_shared_cache_takes_origins_from_each_run_graph():
         assert shared.to_json(with_stages=True) == fresh.to_json(with_stages=True)
     contracted = [contract_into_source(inst.graph, {"s", "a"}, "s") for inst in (relay, direct)]
     assert cache.solver(contracted[0]) is cache.solver(contracted[1])
+
+
+def test_stage_graphs_from_the_memo_give_the_fresh_trace(monkeypatch):
+    """A second profile that differs only in a priced-out agent's value
+    reuses every stage graph from the cache; its trace matches a run on a
+    fresh cache."""
+    import costshare.steiner as steiner_module
+
+    inst = fig_staged_network()
+    cache = SteinerCache()
+    first = run_rsm(inst, cache=cache)
+    assert len(first.stage_trace) == 3
+    calls = []
+    original = steiner_module.contract_into_source
+    monkeypatch.setattr(steiner_module, "contract_into_source",
+                        lambda *args: calls.append(args) or original(*args))
+    f = truthful_profile(inst).reports["f"]
+    prof = apply_deviation(truthful_profile(inst), "f", AgentReport(f.edges, 2))
+    memo = run_rsm(inst, prof, cache)
+    assert calls == []
+    monkeypatch.undo()
+    fresh = run_rsm(inst, prof)
+    assert memo.to_json(with_stages=True) == fresh.to_json(with_stages=True)
+    assert [r.tree_edges for r in memo.stage_trace] == [
+        r.tree_edges for r in first.stage_trace]

@@ -270,3 +270,48 @@ def test_a_shared_solver_supplies_costs_not_origins():
     assert edges == frozenset({("b", "s")})
     assert {g1.origin_of(e) for e in edges} == {("a", "b")}
     assert {g2.origin_of(e) for e in edges} == {("b", "s")}
+
+
+def test_induced_memo_keys_on_the_instance_not_its_labels():
+    """Two instances with the same labels and declarations but different
+    costs share a cache; each gets its own induced graph."""
+    from costshare import Instance, ReportProfile, truthful_profile
+
+    cheap = Instance("s", ["a", "b"], {("s", "a"): 1, ("a", "b"): 2}, {"a": 3, "b": 3})
+    dear = Instance("s", ["a", "b"], {("s", "a"): 5, ("a", "b"): 2}, {"a": 3, "b": 3})
+    cache = SteinerCache()
+    g_cheap = cache.induced(truthful_profile(cheap))
+    g_dear = cache.induced(truthful_profile(dear))
+    assert g_cheap == cheap.graph and g_dear == dear.graph and g_cheap != g_dear
+    assert cache.induced(truthful_profile(cheap)) is g_cheap
+    # the key lists declarations in sorted agent order, not report order
+    reordered = ReportProfile(cheap, dict(reversed(truthful_profile(cheap).reports.items())))
+    assert cache.induced(reordered) is g_cheap
+    assert cache.solver(g_cheap).cost({"s", "a", "b"}) == 3
+    assert cache.solver(g_dear).cost({"s", "a", "b"}) == 7
+
+
+def test_identity_contraction_keeps_the_callers_origins():
+    g = contract_into_source(_graph({("s", "b"): 1, ("b", "c"): 2, ("a", "c"): 3}),
+                             frozenset({"s", "b"}), "s")
+    assert g.origins
+    cache = SteinerCache()
+    assert cache.contracted(g, {"s"}, "s") is g
+    second = cache.contracted(g, {"s", "c"}, "s")
+    assert second.origin_of(("a", "s")) == ("a", "c")
+    assert cache.contracted(g, frozenset({"c", "s"}), "s") is second
+
+
+def test_contraction_memo_tells_apart_graphs_with_different_origins():
+    """Equal content, different origins: contracting each further must map
+    the surviving edge back through its own input's origins."""
+    relay = _graph({("s", "a"): 1, ("a", "b"): 3, ("s", "c"): 1})
+    direct = _graph({("s", "a"): 1, ("s", "b"): 3, ("s", "c"): 1})
+    cache = SteinerCache()
+    g1 = cache.contracted(relay, {"s", "a"}, "s")
+    g2 = cache.contracted(direct, {"s", "a"}, "s")
+    assert g1 == g2 and g1.origins != g2.origins
+    h1 = cache.contracted(g1, {"s", "c"}, "s")
+    h2 = cache.contracted(g2, {"s", "c"}, "s")
+    assert h1.origin_of(("b", "s")) == ("a", "b")
+    assert h2.origin_of(("b", "s")) == ("b", "s")

@@ -251,9 +251,10 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
     checked = 0
     for i in sorted(instance.agents):
         for _ in range(samples):
+            # Draw in sorted order: frozenset order varies with the hash seed.
             reports = {j: (base.reports[j] if j == i
                            else deviations[j][rng.randrange(len(deviations[j]))])
-                       for j in instance.agents}
+                       for j in instance.agent_order()}
             alloc = _run_or_none(runner, instance,
                                  ReportProfile(instance, reports), cache)
             if alloc is None:

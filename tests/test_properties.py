@@ -232,3 +232,29 @@ def test_induced_memo_agrees_with_induced_graph_across_a_sweep(monkeypatch):
             assert got == want and got.edges() == want.edges() and not got.origins
             checked += 1
     assert len(built) == declarations and checked > 100
+
+
+def test_individual_rationality_samples_do_not_depend_on_the_hash_seed():
+    """Joint deviations are drawn in sorted agent order, so the same seed
+    gives the same report in processes with different string hashing."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = ("import json\n"
+              "from costshare.fixtures import fig_bird_square\n"
+              "from costshare.properties import check_individual_rationality\n"
+              "r = check_individual_rationality(fig_bird_square(), 'bird', "
+              "samples=20, seed=0)\n"
+              "print(json.dumps(r.to_json(), sort_keys=True))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for hash_seed in ("0", "1", "123"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1] == outs[2]

@@ -24,24 +24,13 @@ from .fixtures import (corpus_inefficiency, fig_bird_square, fig_line,
                        fig_welfare_gap, fig_zero_bridge)
 from .model import (AgentReport, SizeCapError, ValidationError, apply_deviation,
                     edge_key, truthful_profile, value_to_json)
-from .properties import (MECHANISMS, PropertyReport, budget_balance_ratio,
-                         check_budget_balance, check_efficiency,
-                         check_feasibility, check_individual_rationality,
-                         check_positiveness, check_ranking, check_symmetry,
-                         check_truthfulness, check_utility_monotonicity,
-                         generate_instance, make_twin_instance, welfare_ratio,
-                         welfare_ratio_of_selection, EFFICIENCY_CAP)
+from .properties import (MECHANISMS, PROPERTIES, PropertyReport,
+                         budget_balance_ratio, check_budget_balance,
+                         check_efficiency, check_feasibility,
+                         check_truthfulness, generate_instance,
+                         make_twin_instance, twin_pair,
+                         welfare_ratio_of_selection)
 from .steiner import SteinerCache
-
-STANDARD_PROPERTIES = (
-    "truthfulness", "feasibility", "individual-rationality", "budget-balance",
-    "positiveness", "efficiency", "utility-monotonicity",
-)
-TWIN_PROPERTIES = ("symmetry", "ranking")
-MEASUREMENTS = ("bbr", "welfare-ratio")
-# Checks that evaluate a single profile rather than sweeping deviations.
-POINTWISE = ("feasibility", "positiveness", "budget-balance")
-ALL_PROPERTIES = STANDARD_PROPERTIES + TWIN_PROPERTIES + MEASUREMENTS
 
 DEMOS = ("bird-manipulation", "impossibility-bb", "impossibility-bbr",
          "welfare-ratio-collapse")
@@ -63,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="check mechanism properties")
     p_check.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
     p_check.add_argument("--property", required=True,
-                         choices=ALL_PROPERTIES + ("all",))
+                         choices=tuple(PROPERTIES) + ("all",))
     p_check.add_argument("--input", help="check one instance document")
     p_check.add_argument("--count", type=int, default=10,
                          help="corpus size when no input is given")
@@ -100,143 +89,78 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _corpus(args):
-    for k in range(args.count):
-        yield args.seed + k, generate_instance(
+def _targets(prop, instance, carried) -> list:
+    """What one property is run on for one instance: its qualifying twin
+    pairs, the carried profile for a pointwise check, else the instance."""
+    if prop.kind == "twin":
+        agents = instance.agent_order()
+        return [(instance, i, j) for i in agents for j in agents
+                if i != j and (prop.ranked or i < j)
+                and twin_pair(instance, i, j, prop.ranked)]
+    return [carried if prop.kind == "pointwise" else instance]
+
+
+def _instances(prop, args, document):
+    """(seed, instance, targets) per checked instance; the seed is None for
+    a document."""
+    if document is not None:
+        instance, carried = document
+        yield None, instance, _targets(prop, instance, carried)
+        return
+    for seed in range(args.seed, args.seed + args.count):
+        if prop.kind == "twin":
+            instance, i, j = make_twin_instance(seed, ranked=prop.ranked)
+            yield seed, instance, [(instance, i, j)]
+            continue
+        instance = generate_instance(
             agents=args.agents, edge_probability=args.edge_probability,
-            max_cost=args.max_cost, max_valuation=args.max_valuation,
-            seed=args.seed + k)
-
-
-def _twin_corpus(args, ranked: bool):
-    for k in range(args.count):
-        yield args.seed + k, make_twin_instance(args.seed + k, ranked=ranked)
-
-
-def _twin_pairs_of(instance, ranked: bool):
-    """Ordered agent pairs of one instance that satisfy the twin hypothesis."""
-    agents = sorted(instance.agents)
-    for i in agents:
-        for j in agents:
-            if i == j or (not ranked and j < i):
-                continue
-            adj_i = instance.graph.adjacent(i)
-            adj_j = instance.graph.adjacent(j)
-            adj_i.pop(j, None)
-            adj_j.pop(i, None)
-            if adj_i.keys() != adj_j.keys():
-                continue
-            if ranked:
-                if (all(adj_i[k] <= adj_j[k] for k in adj_i)
-                        and instance.valuations[i] >= instance.valuations[j]):
-                    yield i, j
-            else:
-                if (all(adj_i[k] == adj_j[k] for k in adj_i)
-                        and instance.valuations[i] == instance.valuations[j]):
-                    yield i, j
-
-
-def _measure(prop: str, instance, mechanism, cache) -> dict:
-    if prop == "bbr":
-        value = budget_balance_ratio(instance, mechanism, cache)
-    else:
-        value = welfare_ratio(instance, mechanism, cache)
-    return {"value": None if value is None else value_to_json(value)}
-
-
-def _check_property(prop: str, instance, mechanism, args, cache) -> PropertyReport:
-    step = parse_number(args.step, "--step")
-    if prop == "truthfulness":
-        return check_truthfulness(instance, mechanism, step, cache)
-    if prop == "feasibility":
-        return check_feasibility(instance, mechanism, cache)
-    if prop == "positiveness":
-        return check_positiveness(instance, mechanism, cache)
-    if prop == "budget-balance":
-        return check_budget_balance(instance, mechanism, cache)
-    if prop == "individual-rationality":
-        return check_individual_rationality(instance, mechanism,
-                                            samples=args.ir_samples,
-                                            seed=args.seed, step=step, cache=cache)
-    if prop == "efficiency":
-        return check_efficiency(instance, mechanism, cache)
-    if prop == "utility-monotonicity":
-        return check_utility_monotonicity(instance, mechanism, delta=1, cache=cache)
-    raise ValidationError(f"unknown property {prop!r}")
+            max_cost=args.max_cost, max_valuation=args.max_valuation, seed=seed)
+        yield seed, instance, [instance]
 
 
 def cmd_check(args) -> int:
-    mechanism = args.mechanism
-    if args.property == "all":
-        props = list(STANDARD_PROPERTIES)
-    else:
-        props = [args.property]
-
+    document = None
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
-            instance, carried = load_document(fh.read())
-        instances = [(None, instance)]
+            document = load_document(fh.read())
+    if args.property == "all":
+        names = [n for n, p in PROPERTIES.items() if p.kind in ("instance", "pointwise")]
     else:
-        instances = None  # generated per property below
-        carried = None
+        names = [args.property]
 
-    # Each instance gets its own solver cache: generated instances never
-    # share a graph, so a cache kept across the corpus only grows.
     reports = []
-    for prop in props:
-        total = 0
-        verdict = "holds"
-        witness = None
-        if prop in TWIN_PROPERTIES:
-            if args.input:
-                checker = check_ranking if prop == "ranking" else check_symmetry
-                for _, inst in instances:
-                    cache = SteinerCache()
-                    for i, j in _twin_pairs_of(inst, ranked=prop == "ranking"):
-                        rep = checker(inst, mechanism, i, j, cache)
-                        total += rep.instances_checked
-                        if not rep.holds and witness is None:
-                            verdict, witness = "violated", rep.witness
-            else:
-                checker = check_ranking if prop == "ranking" else check_symmetry
-                for seed, (inst, i, j) in _twin_corpus(args, ranked=prop == "ranking"):
-                    rep = checker(inst, mechanism, i, j, SteinerCache())
-                    total += rep.instances_checked
-                    if not rep.holds and witness is None:
-                        verdict = "violated"
-                        witness = dict(rep.witness)
-                        witness["instance"] = json.loads(serialize_instance(inst))
-            reports.append(PropertyReport(prop, mechanism, verdict, witness,
-                                          total, args.seed))
-            continue
-        if prop in MEASUREMENTS:
-            values = []
-            for seed, inst in (instances if args.input else _corpus(args)):
-                entry = _measure(prop, inst, mechanism, SteinerCache())
-                if seed is not None:
-                    entry["seed"] = seed
-                values.append(entry)
-                total += 1
-            reports.append(PropertyReport(prop, mechanism, "holds",
-                                          {"values": values}, total, args.seed))
-            continue
-        stream = instances if args.input else _corpus(args)
-        for seed, inst in stream:
-            if (prop == "efficiency" and args.property == "all"
-                    and len(inst.agents) > EFFICIENCY_CAP):
+    for name in names:
+        prop = PROPERTIES[name]
+        checked, witness, values = 0, None, []
+        for seed, instance, targets in _instances(prop, args, document):
+            if (args.property == "all" and prop.cap is not None
+                    and len(instance.agents) > prop.cap):
                 continue
-            # A document may carry explicit reports; the pointwise checks
-            # evaluate that profile as submitted rather than the truthful one.
-            target = carried if carried is not None and prop in POINTWISE else inst
-            rep = _check_property(prop, target, mechanism, args, SteinerCache())
-            total += rep.instances_checked
-            if not rep.holds and witness is None:
-                verdict = "violated"
-                witness = dict(rep.witness)
-                if seed is not None:
-                    witness["instance"] = json.loads(serialize_instance(inst))
-        reports.append(PropertyReport(prop, mechanism, verdict, witness,
-                                      total, args.seed))
+            # Each instance gets its own solver cache: generated instances
+            # never share a graph, so a cache kept across the corpus only grows.
+            cache = SteinerCache()
+            for target in targets:
+                options = argparse.Namespace(**vars(args))
+                if prop.kind in ("instance", "pointwise"):
+                    options.step = parse_number(args.step, "--step")
+                result = prop.run(target, args.mechanism, options, cache)
+                if prop.kind == "measurement":
+                    entry = {"value": None if result is None else value_to_json(result)}
+                    if seed is not None:
+                        entry["seed"] = seed
+                    values.append(entry)
+                    checked += 1
+                    continue
+                checked += result.instances_checked
+                if not result.holds and witness is None:
+                    witness = dict(result.witness)
+                    if seed is not None:
+                        witness["instance"] = json.loads(serialize_instance(instance))
+        verdict = "holds" if witness is None else "violated"
+        if prop.kind == "measurement":
+            witness = {"values": values}
+        reports.append(PropertyReport(name, args.mechanism, verdict, witness,
+                                      checked, args.seed))
     print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
     return 1 if any(not r.holds for r in reports) else 0
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .baselines import run_bird
 from .cvm import run_cvm
@@ -132,12 +133,23 @@ def _run_or_none(runner, instance, profile, cache):
         return None
 
 
-def _carried_profile(target) -> tuple[Instance, ReportProfile]:
-    """Accept either an instance (checked at its truthful profile) or a
-    report profile (checked exactly as submitted)."""
+def _report(prop: str, name: str, witness: dict | None, checked: int,
+            seed: int | None = None) -> PropertyReport:
+    """Report that holds when there is no witness and is violated otherwise."""
+    verdict = "holds" if witness is None else "violated"
+    return PropertyReport(prop, name, verdict, witness, checked, seed)
+
+
+def _outcome(mechanism, target, cache: SteinerCache | None):
+    """Resolve the mechanism and run it once on the target: an instance at
+    its truthful profile, or a report profile exactly as submitted. Returns
+    (mechanism name, profile, allocation)."""
+    name, runner = _resolve(mechanism)
     if isinstance(target, ReportProfile):
-        return target.instance, target
-    return target, truthful_profile(target)
+        instance, profile = target.instance, target
+    else:
+        instance, profile = target, truthful_profile(target)
+    return name, profile, runner(instance, profile, cache or SteinerCache())
 
 
 def _profile_note(profile: ReportProfile) -> dict:
@@ -176,63 +188,63 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
                     "truthful_utility": value_to_json(base.utilities[i]),
                     "deviation_utility": value_to_json(alloc.utilities[i]),
                 }
-                return PropertyReport("truthfulness", name, "violated", witness, checked)
-    return PropertyReport("truthfulness", name, "holds", None, checked)
+                return _report("truthfulness", name, witness, checked)
+    return _report("truthfulness", name, None, checked)
+
+
+def _pointwise(prop: str, find_witness, target, mechanism,
+               cache: SteinerCache | None) -> PropertyReport:
+    """Run the mechanism once on the target and report the witness
+    find_witness(profile, allocation) gives, if any."""
+    name, profile, alloc = _outcome(mechanism, target, cache)
+    witness = find_witness(profile, alloc)
+    if witness is not None:
+        witness.update(_profile_note(profile))
+    return _report(prop, name, witness, 1)
+
+
+def _charged_above_valuation(profile: ReportProfile, alloc) -> dict | None:
+    for i in profile.instance.agent_order():
+        if alloc.shares[i] > profile.valuation(i):
+            return {"agent": i, "share": value_to_json(alloc.shares[i]),
+                    "reported_valuation": value_to_json(profile.valuation(i))}
+    return None
+
+
+def _negative_share(profile: ReportProfile, alloc) -> dict | None:
+    for i in profile.instance.agent_order():
+        if alloc.shares[i] < 0:
+            return {"agent": i, "share": value_to_json(alloc.shares[i])}
+    return None
+
+
+def _unbalanced(profile: ReportProfile, alloc) -> dict | None:
+    collected = alloc.total_shares()
+    if collected == alloc.total_cost:
+        return None
+    return {"collected": value_to_json(collected),
+            "tree_cost": value_to_json(alloc.total_cost),
+            "edges": [list(e) for e in sorted(alloc.tree_edges)]}
 
 
 def check_feasibility(target, mechanism,
                       cache: SteinerCache | None = None) -> PropertyReport:
     """Nobody is charged above its reported valuation in the allocation
     produced for the given instance or profile."""
-    name, runner = _resolve(mechanism)
-    instance, profile = _carried_profile(target)
-    cache = cache or SteinerCache()
-    alloc = runner(instance, profile, cache)
-    for i in sorted(instance.agents):
-        if alloc.shares[i] > profile.valuation(i):
-            witness = {
-                "agent": i,
-                "share": value_to_json(alloc.shares[i]),
-                "reported_valuation": value_to_json(profile.valuation(i)),
-            }
-            witness.update(_profile_note(profile))
-            return PropertyReport("feasibility", name, "violated", witness, 1)
-    return PropertyReport("feasibility", name, "holds", None, 1)
+    return _pointwise("feasibility", _charged_above_valuation, target, mechanism, cache)
 
 
 def check_positiveness(target, mechanism,
                        cache: SteinerCache | None = None) -> PropertyReport:
     """Shares are never negative: the mechanism never pays an agent."""
-    name, runner = _resolve(mechanism)
-    instance, profile = _carried_profile(target)
-    cache = cache or SteinerCache()
-    alloc = runner(instance, profile, cache)
-    for i in sorted(instance.agents):
-        if alloc.shares[i] < 0:
-            witness = {"agent": i, "share": value_to_json(alloc.shares[i])}
-            witness.update(_profile_note(profile))
-            return PropertyReport("positiveness", name, "violated", witness, 1)
-    return PropertyReport("positiveness", name, "holds", None, 1)
+    return _pointwise("positiveness", _negative_share, target, mechanism, cache)
 
 
 def check_budget_balance(target, mechanism,
                          cache: SteinerCache | None = None) -> PropertyReport:
     """Collected shares equal the cost of the produced tree, compared as
     exact rationals, in the allocation for the given instance or profile."""
-    name, runner = _resolve(mechanism)
-    instance, profile = _carried_profile(target)
-    cache = cache or SteinerCache()
-    alloc = runner(instance, profile, cache)
-    collected = alloc.total_shares()
-    if collected != alloc.total_cost:
-        witness = {
-            "collected": value_to_json(collected),
-            "tree_cost": value_to_json(alloc.total_cost),
-            "edges": [list(e) for e in sorted(alloc.tree_edges)],
-        }
-        witness.update(_profile_note(profile))
-        return PropertyReport("budget-balance", name, "violated", witness, 1)
-    return PropertyReport("budget-balance", name, "holds", None, 1)
+    return _pointwise("budget-balance", _unbalanced, target, mechanism, cache)
 
 
 def check_individual_rationality(instance: Instance, mechanism, samples: int = 200,
@@ -267,9 +279,8 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
                                if j != i},
                     "utility": value_to_json(alloc.utilities[i]),
                 }
-                return PropertyReport("individual-rationality", name, "violated",
-                                      witness, checked, seed)
-    return PropertyReport("individual-rationality", name, "holds", None, checked, seed)
+                return _report("individual-rationality", name, witness, checked, seed)
+    return _report("individual-rationality", name, None, checked, seed)
 
 
 def _welfare_optimum(instance: Instance, profile: ReportProfile,
@@ -297,14 +308,13 @@ def check_efficiency(instance: Instance, mechanism,
                      cache: SteinerCache | None = None) -> PropertyReport:
     """The truthful outcome reaches the maximum social welfare, verified by
     brute force over every agent subset."""
-    name, runner = _resolve(mechanism)
     if len(instance.agents) > EFFICIENCY_CAP:
         raise SizeCapError(
             f"efficiency check exhausts subsets, cap is {EFFICIENCY_CAP} agents")
     cache = cache or SteinerCache()
-    profile = truthful_profile(instance)
-    alloc = runner(instance, profile, cache)
+    name, profile, alloc = _outcome(mechanism, instance, cache)
     best, best_set = _welfare_optimum(instance, profile, cache)
+    witness = None
     if alloc.social_welfare != best:
         witness = {
             "selected": sorted(alloc.selected),
@@ -312,14 +322,36 @@ def check_efficiency(instance: Instance, mechanism,
             "optimal_set": sorted(best_set),
             "optimal_welfare": value_to_json(best),
         }
-        return PropertyReport("efficiency", name, "violated", witness, 1)
-    return PropertyReport("efficiency", name, "holds", None, 1)
+    return _report("efficiency", name, witness, 1)
 
 
-def _adjacency_without(instance: Instance, i: str, j: str) -> dict[str, Value]:
-    adj = instance.graph.adjacent(i)
-    adj.pop(j, None)
-    return adj
+def twin_pair(instance: Instance, i: str, j: str, ranked: bool) -> bool:
+    """Whether agents i and j have the same neighbors, each other aside, and
+    either the same costs to them and the same valuation (symmetric twins)
+    or, when ranked, connections no dearer and a valuation no lower for i
+    (i dominates j)."""
+    adj_i = instance.graph.adjacent(i)
+    adj_j = instance.graph.adjacent(j)
+    adj_i.pop(j, None)
+    adj_j.pop(i, None)
+    if ranked:
+        return (adj_i.keys() == adj_j.keys()
+                and all(adj_i[k] <= adj_j[k] for k in adj_i)
+                and instance.valuations[i] >= instance.valuations[j])
+    return adj_i == adj_j and instance.valuations[i] == instance.valuations[j]
+
+
+def _check_twins(ranked: bool, instance: Instance, mechanism, i: str, j: str,
+                 cache: SteinerCache | None) -> PropertyReport:
+    if not twin_pair(instance, i, j, ranked):
+        raise ValidationError(f"agent {i!r} does not dominate {j!r}" if ranked
+                              else f"agents {i!r} and {j!r} are not symmetric twins")
+    name, _, alloc = _outcome(mechanism, instance, cache)
+    u_i, u_j = alloc.utilities[i], alloc.utilities[j]
+    witness = None
+    if u_i < u_j if ranked else u_i != u_j:
+        witness = {"agents": [i, j], "utilities": [value_to_json(u_i), value_to_json(u_j)]}
+    return _report("ranking" if ranked else "symmetry", name, witness, 1)
 
 
 def check_symmetry(instance: Instance, mechanism, i: str, j: str,
@@ -327,19 +359,7 @@ def check_symmetry(instance: Instance, mechanism, i: str, j: str,
     """Two agents with the same valuation and interchangeable positions (the
     same neighbors at the same costs, each other aside) end up with the same
     utility. Errors when the pair does not satisfy that hypothesis."""
-    name, runner = _resolve(mechanism)
-    adj_i = _adjacency_without(instance, i, j)
-    adj_j = _adjacency_without(instance, j, i)
-    if adj_i != adj_j or instance.valuations[i] != instance.valuations[j]:
-        raise ValidationError(f"agents {i!r} and {j!r} are not symmetric twins")
-    cache = cache or SteinerCache()
-    alloc = runner(instance, truthful_profile(instance), cache)
-    if alloc.utilities[i] != alloc.utilities[j]:
-        witness = {"agents": [i, j],
-                   "utilities": [value_to_json(alloc.utilities[i]),
-                                 value_to_json(alloc.utilities[j])]}
-        return PropertyReport("symmetry", name, "violated", witness, 1)
-    return PropertyReport("symmetry", name, "holds", None, 1)
+    return _check_twins(False, instance, mechanism, i, j, cache)
 
 
 def check_ranking(instance: Instance, mechanism, i: str, j: str,
@@ -347,22 +367,7 @@ def check_ranking(instance: Instance, mechanism, i: str, j: str,
     """Of two agents with the same neighbors, the one with cheaper
     connections and a valuation at least as high ends up at least as well
     off. Errors when the pair does not satisfy that hypothesis."""
-    name, runner = _resolve(mechanism)
-    adj_i = _adjacency_without(instance, i, j)
-    adj_j = _adjacency_without(instance, j, i)
-    dominates = (adj_i.keys() == adj_j.keys()
-                 and all(adj_i[k] <= adj_j[k] for k in adj_i)
-                 and instance.valuations[i] >= instance.valuations[j])
-    if not dominates:
-        raise ValidationError(f"agent {i!r} does not dominate {j!r}")
-    cache = cache or SteinerCache()
-    alloc = runner(instance, truthful_profile(instance), cache)
-    if alloc.utilities[i] < alloc.utilities[j]:
-        witness = {"agents": [i, j],
-                   "utilities": [value_to_json(alloc.utilities[i]),
-                                 value_to_json(alloc.utilities[j])]}
-        return PropertyReport("ranking", name, "violated", witness, 1)
-    return PropertyReport("ranking", name, "holds", None, 1)
+    return _check_twins(True, instance, mechanism, i, j, cache)
 
 
 def check_utility_monotonicity(instance: Instance, mechanism, edge=None,
@@ -399,18 +404,15 @@ def check_utility_monotonicity(instance: Instance, mechanism, edge=None,
                     "utility_before": value_to_json(base.utilities[i]),
                     "utility_after": value_to_json(alloc.utilities[i]),
                 }
-                return PropertyReport("utility-monotonicity", name, "violated",
-                                      witness, checked)
-    return PropertyReport("utility-monotonicity", name, "holds", None, checked)
+                return _report("utility-monotonicity", name, witness, checked)
+    return _report("utility-monotonicity", name, None, checked)
 
 
 def budget_balance_ratio(instance: Instance, mechanism,
                          cache: SteinerCache | None = None) -> Value | None:
     """Collected shares divided by the tree cost at the truthful profile;
     None when nothing is selected or the tree costs nothing."""
-    _, runner = _resolve(mechanism)
-    cache = cache or SteinerCache()
-    alloc = runner(instance, truthful_profile(instance), cache)
+    _, _, alloc = _outcome(mechanism, instance, cache)
     if not alloc.selected or alloc.total_cost == 0:
         return None
     return exact_div(alloc.total_shares(), alloc.total_cost)
@@ -421,14 +423,53 @@ def welfare_ratio(instance: Instance, mechanism,
     """Welfare of the truthful outcome relative to the best reachable
     welfare. Errors when the optimum is not positive (no instance-wide
     surplus to compare against)."""
-    _, runner = _resolve(mechanism)
     cache = cache or SteinerCache()
-    profile = truthful_profile(instance)
-    alloc = runner(instance, profile, cache)
+    _, profile, alloc = _outcome(mechanism, instance, cache)
     best, _ = _welfare_optimum(instance, profile, cache)
     if best <= 0:
         raise ValidationError("the optimal welfare is not positive")
     return exact_div(alloc.social_welfare, best)
+
+
+class Property(NamedTuple):
+    """How a property is checked. kind is one of
+      instance     run at the truthful profile of an instance
+      pointwise    run at the profile a document carries (else truthful)
+      twin         run on a target (instance, i, j) with twin_pair(..., ranked)
+      measurement  returns a value (or None) rather than a report
+    run(target, mechanism, options, cache) reads step, ir_samples and seed
+    from the parsed options. cap, when set, is the largest agent count the
+    check accepts; a sweep over every property skips larger instances."""
+
+    kind: str
+    run: Callable
+    cap: int | None = None
+    ranked: bool = False
+
+
+# Every property, in the order a sweep over all of them runs. Each run looks
+# its checker up as a module global at call time, so rebinding a checker on
+# this module (as the benchmark's tracer does) reaches every caller.
+PROPERTIES = {
+    "truthfulness": Property("instance", lambda t, m, o, c:
+                             check_truthfulness(t, m, o.step, c)),
+    "feasibility": Property("pointwise", lambda t, m, o, c: check_feasibility(t, m, c)),
+    "individual-rationality": Property("instance", lambda t, m, o, c:
+                                       check_individual_rationality(
+                                           t, m, o.ir_samples, o.seed, o.step, c)),
+    "budget-balance": Property("pointwise", lambda t, m, o, c:
+                               check_budget_balance(t, m, c)),
+    "positiveness": Property("pointwise", lambda t, m, o, c: check_positiveness(t, m, c)),
+    "efficiency": Property("instance", lambda t, m, o, c: check_efficiency(t, m, c),
+                           cap=EFFICIENCY_CAP),
+    "utility-monotonicity": Property("instance", lambda t, m, o, c:
+                                     check_utility_monotonicity(t, m, cache=c)),
+    "symmetry": Property("twin", lambda t, m, o, c: check_symmetry(t[0], m, t[1], t[2], c)),
+    "ranking": Property("twin", lambda t, m, o, c: check_ranking(t[0], m, t[1], t[2], c),
+                        ranked=True),
+    "bbr": Property("measurement", lambda t, m, o, c: budget_balance_ratio(t, m, c)),
+    "welfare-ratio": Property("measurement", lambda t, m, o, c: welfare_ratio(t, m, c)),
+}
 
 
 def welfare_ratio_of_selection(instance: Instance, selection,

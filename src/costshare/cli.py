@@ -119,6 +119,12 @@ def _instances(prop, args, document):
 
 
 def cmd_check(args) -> int:
+    args.step = parse_number(args.step, "--step")
+    if args.step <= 0:
+        raise ValidationError("grid step must be positive")
+    for flag, value in (("--count", args.count), ("--ir-samples", args.ir_samples)):
+        if value < 0:
+            raise ValidationError(f"{flag} must be nonnegative")
     document = None
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
@@ -140,10 +146,7 @@ def cmd_check(args) -> int:
             # never share a graph, so a cache kept across the corpus only grows.
             cache = SteinerCache()
             for target in targets:
-                options = argparse.Namespace(**vars(args))
-                if prop.kind in ("instance", "pointwise"):
-                    options.step = parse_number(args.step, "--step")
-                result = prop.run(target, args.mechanism, options, cache)
+                result = prop.run(target, args.mechanism, args, cache)
                 if prop.kind == "measurement":
                     entry = {"value": None if result is None else value_to_json(result)}
                     if seed is not None:

@@ -197,3 +197,29 @@ def test_demo_content_spot_checks(capsys):
     main(["demo", "--name", "impossibility-bbr"])
     out = capsys.readouterr().out
     assert "0" in out
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--property", "symmetry", "--step", "x"], "malformed number: 'x'"),
+    (["--property", "bbr", "--step", "x"], "malformed number: 'x'"),
+    (["--property", "symmetry", "--step", "0"], "grid step must be positive"),
+    (["--property", "feasibility", "--step=-1/2"], "grid step must be positive"),
+    (["--property", "truthfulness", "--count", "0", "--step", "x"],
+     "malformed number: 'x'"),
+    (["--property", "budget-balance", "--count", "-1"], "--count must be nonnegative"),
+    (["--property", "symmetry", "--count", "-1"], "--count must be nonnegative"),
+    (["--property", "individual-rationality", "--ir-samples", "-1"],
+     "--ir-samples must be nonnegative"),
+])
+def test_check_options_are_validated_before_any_property_runs(capsys, extra, message):
+    """Every property and an empty corpus see the same option rules."""
+    assert main(["check", "--mechanism", "cvm", "--count", "1", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_check_accepts_an_empty_corpus(capsys):
+    assert main(["check", "--property", "all", "--mechanism", "rsm", "--count", "0"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["instances_checked"] for r in reports] == [0] * 7

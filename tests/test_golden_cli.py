@@ -2,8 +2,12 @@
 command list.
 
 The digests in golden_cli.json were captured before the command line's
-property dispatch moved into `properties.PROPERTIES`; see golden_cli.py for
-the commands and how to recapture them.
+property dispatch moved into `properties.PROPERTIES`, and held through that
+move. Seven were recaptured afterwards, when `check` began to validate
+`--step`, `--count` and `--ir-samples` before any property runs: a bad or
+nonpositive step with symmetry, bbr or an empty corpus, and a negative count
+or sample budget, now exit 2 instead of printing a report. See
+golden_cli.py for the commands and how to recapture them.
 """
 
 import json

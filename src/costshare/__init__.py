@@ -31,8 +31,7 @@ from .rsm import run_rsm, stage_solve
 from .steiner import (SteinerCache, SteinerResult, SteinerSolver,
                       brute_force_steiner_oracle, contract_into_source,
                       steiner_cost)
-from .welfare import (WelfareTable, compute_delta_table, delta,
-                      social_welfare)
+from .welfare import WelfareTable, compute_delta_table, social_welfare
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,7 @@ __all__ = [
     "check_budget_balance", "check_efficiency", "check_feasibility",
     "check_individual_rationality", "check_positiveness", "check_ranking",
     "check_symmetry", "check_truthfulness", "check_utility_monotonicity",
-    "compute_delta_table", "contract_into_source", "critical_value", "delta",
+    "compute_delta_table", "contract_into_source", "critical_value",
     "edge_key", "enumerate_deviations", "exact_div", "generate_instance",
     "induced_graph", "load_document", "make_twin_instance", "neighbors",
     "parse_instance", "prim_shares", "run_bird", "run_cvm", "run_rsm",

@@ -89,9 +89,6 @@ class Allocation:
             total += x
         return as_value(total)
 
-    def utility(self, i: str) -> Value:
-        return self.utilities[i]
-
     def to_json(self, with_stages: bool = False) -> dict:
         doc = {
             "mechanism": self.mechanism,

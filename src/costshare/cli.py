@@ -32,10 +32,6 @@ from .properties import (MECHANISMS, PROPERTIES, PropertyReport,
                          welfare_ratio_of_selection)
 from .steiner import SteinerCache
 
-DEMOS = ("bird-manipulation", "impossibility-bb", "impossibility-bbr",
-         "welfare-ratio-collapse")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costshare",
@@ -89,33 +85,33 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _targets(prop, instance, carried) -> list:
-    """What one property is run on for one instance: its qualifying twin
-    pairs, the carried profile for a pointwise check, else the instance."""
-    if prop.kind == "twin":
-        agents = instance.agent_order()
-        return [(instance, i, j) for i in agents for j in agents
-                if i != j and (prop.ranked or i < j)
-                and twin_pair(instance, i, j, prop.ranked)]
-    return [carried if prop.kind == "pointwise" else instance]
-
-
 def _instances(prop, args, document):
-    """(seed, instance, targets) per checked instance; the seed is None for
-    a document."""
+    """(seed, instance, targets) per checked instance. The seed is None for
+    a document, whose twin checks cover every qualifying pair and whose
+    pointwise checks run at the profile it carries."""
     if document is not None:
         instance, carried = document
-        yield None, instance, _targets(prop, instance, carried)
+        agents = instance.agent_order()
+        if prop.kind == "twin":
+            targets = [(instance, i, j) for i in agents for j in agents
+                       if i != j and (prop.ranked or i < j)
+                       and twin_pair(instance, i, j, prop.ranked)]
+        else:
+            targets = [carried if prop.kind == "pointwise" else instance]
+        yield None, instance, targets
         return
     for seed in range(args.seed, args.seed + args.count):
         if prop.kind == "twin":
-            instance, i, j = make_twin_instance(seed, ranked=prop.ranked)
-            yield seed, instance, [(instance, i, j)]
-            continue
-        instance = generate_instance(
-            agents=args.agents, edge_probability=args.edge_probability,
-            max_cost=args.max_cost, max_valuation=args.max_valuation, seed=seed)
-        yield seed, instance, [instance]
+            twins = make_twin_instance(seed, ranked=prop.ranked)
+            yield seed, twins[0], [twins]
+        else:
+            instance = _generate(args, seed)
+            yield seed, instance, [instance]
+
+
+def _generate(args, seed: int):
+    return generate_instance(args.agents, args.edge_probability, args.max_cost,
+                             args.max_valuation, seed)
 
 
 def cmd_check(args) -> int:
@@ -129,10 +125,8 @@ def cmd_check(args) -> int:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
             document = load_document(fh.read())
-    if args.property == "all":
-        names = [n for n, p in PROPERTIES.items() if p.kind in ("instance", "pointwise")]
-    else:
-        names = [args.property]
+    names = ([args.property] if args.property != "all" else
+             [n for n, p in PROPERTIES.items() if p.kind in ("instance", "pointwise")])
 
     reports = []
     for name in names:
@@ -149,9 +143,7 @@ def cmd_check(args) -> int:
                 result = prop.run(target, args.mechanism, args, cache)
                 if prop.kind == "measurement":
                     entry = {"value": None if result is None else value_to_json(result)}
-                    if seed is not None:
-                        entry["seed"] = seed
-                    values.append(entry)
+                    values.append(entry if seed is None else {**entry, "seed": seed})
                     checked += 1
                     continue
                 checked += result.instances_checked
@@ -278,23 +270,20 @@ def _demo_welfare_ratio_collapse() -> int:
     return 0
 
 
+DEMOS = {
+    "bird-manipulation": _demo_bird_manipulation,
+    "impossibility-bb": _demo_impossibility_bb,
+    "impossibility-bbr": _demo_impossibility_bbr,
+    "welfare-ratio-collapse": _demo_welfare_ratio_collapse,
+}
+
+
 def cmd_demo(args) -> int:
-    handlers = {
-        "bird-manipulation": _demo_bird_manipulation,
-        "impossibility-bb": _demo_impossibility_bb,
-        "impossibility-bbr": _demo_impossibility_bbr,
-        "welfare-ratio-collapse": _demo_welfare_ratio_collapse,
-    }
-    return handlers[args.name]()
+    return DEMOS[args.name]()
 
 
 def cmd_gen(args) -> int:
-    instance = generate_instance(agents=args.agents,
-                                 edge_probability=args.edge_probability,
-                                 max_cost=args.max_cost,
-                                 max_valuation=args.max_valuation,
-                                 seed=args.seed)
-    text = serialize_instance(instance)
+    text = serialize_instance(_generate(args, args.seed))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -311,15 +300,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, SizeCapError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SizeCapError) else 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ declarations are varied. Checks that quantify over other agents' behavior
 (individual rationality) sample joint deviations with a seeded generator
 instead of exhausting the product space.
 
-The strategic checks (truthfulness, individual rationality) sweep those
+PROPERTIES names every property with its kind and how to run it. The
+strategic checks (truthfulness, individual rationality) sweep those
 deviation sets. The pointwise checks (feasibility, positiveness, budget
 balance) evaluate the allocation produced for one profile: the truthful one
 when handed an instance, or exactly the reports handed in as a profile, so
@@ -116,12 +117,9 @@ def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
     true_edges = sorted(instance.true_edges_of(i))
     grid = ([instance.valuations[i]] if edges_only
             else valuation_grid(instance, i, step))
-    out = []
-    for mask in range(1 << len(true_edges)):
-        declared = frozenset(e for b, e in enumerate(true_edges) if mask >> b & 1)
-        for v in grid:
-            out.append(AgentReport(declared, v))
-    return out
+    subsets = [frozenset(e for b, e in enumerate(true_edges) if mask >> b & 1)
+               for mask in range(1 << len(true_edges))]
+    return [AgentReport(declared, v) for declared in subsets for v in grid]
 
 
 def _run_or_none(runner, instance, profile, cache):
@@ -141,15 +139,11 @@ def _report(prop: str, name: str, witness: dict | None, checked: int,
 
 
 def _outcome(mechanism, target, cache: SteinerCache | None):
-    """Resolve the mechanism and run it once on the target: an instance at
-    its truthful profile, or a report profile exactly as submitted. Returns
-    (mechanism name, profile, allocation)."""
+    """(mechanism name, profile, allocation) of one run on the target: an
+    instance at its truthful profile, or a report profile as submitted."""
     name, runner = _resolve(mechanism)
-    if isinstance(target, ReportProfile):
-        instance, profile = target.instance, target
-    else:
-        instance, profile = target, truthful_profile(target)
-    return name, profile, runner(instance, profile, cache or SteinerCache())
+    profile = target if isinstance(target, ReportProfile) else truthful_profile(target)
+    return name, profile, runner(profile.instance, profile, cache or SteinerCache())
 
 
 def _profile_note(profile: ReportProfile) -> dict:
@@ -172,9 +166,8 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
     edges_only = name == "bird"
     checked = 0
     for i in sorted(instance.agents):
-        truthful_rep = base_profile.reports[i]
         for rep in enumerate_deviations(instance, i, step, edges_only):
-            if rep == truthful_rep:
+            if rep == base_profile.reports[i]:
                 continue
             alloc = _run_or_none(runner, instance,
                                  apply_deviation(base_profile, i, rep), cache)
@@ -182,12 +175,9 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
                 continue
             checked += 1
             if alloc.utilities[i] > base.utilities[i]:
-                witness = {
-                    "agent": i,
-                    "report": report_to_json(rep),
-                    "truthful_utility": value_to_json(base.utilities[i]),
-                    "deviation_utility": value_to_json(alloc.utilities[i]),
-                }
+                witness = {"agent": i, "report": report_to_json(rep),
+                           "truthful_utility": value_to_json(base.utilities[i]),
+                           "deviation_utility": value_to_json(alloc.utilities[i])}
                 return _report("truthfulness", name, witness, checked)
     return _report("truthfulness", name, None, checked)
 
@@ -273,12 +263,9 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
                 continue
             checked += 1
             if alloc.utilities[i] < 0:
-                witness = {
-                    "agent": i,
-                    "others": {j: report_to_json(r) for j, r in sorted(reports.items())
-                               if j != i},
-                    "utility": value_to_json(alloc.utilities[i]),
-                }
+                others = {j: report_to_json(r) for j, r in reports.items() if j != i}
+                witness = {"agent": i, "others": others,
+                           "utility": value_to_json(alloc.utilities[i])}
                 return _report("individual-rationality", name, witness, checked, seed)
     return _report("individual-rationality", name, None, checked, seed)
 
@@ -287,19 +274,16 @@ def _welfare_optimum(instance: Instance, profile: ReportProfile,
                      cache: SteinerCache) -> tuple[Value, frozenset[str]]:
     """Best reachable welfare and its first witness set, by direct scan over
     agent subsets (kept independent of the recurrence used by selection)."""
-    agents = tuple(sorted(instance.agents))
-    solver = cache.solver(cache.induced(profile))
-    costs = solver.cost_table(instance.source, agents)
-    best: Value = 0
-    best_mask = 0
+    agents = instance.agent_order()
+    costs = cache.solver(cache.induced(profile)).cost_table(instance.source, agents)
+    best, best_mask = 0, 0
     for mask in range(1, 1 << len(agents)):
         c = costs[mask]
         if c is None:
             continue
         sw = sum(profile.valuation(a) for b, a in enumerate(agents) if mask >> b & 1) - c
         if sw > best:
-            best = sw
-            best_mask = mask
+            best, best_mask = sw, mask
     members = frozenset(a for b, a in enumerate(agents) if best_mask >> b & 1)
     return as_value(best), members
 
@@ -316,12 +300,9 @@ def check_efficiency(instance: Instance, mechanism,
     best, best_set = _welfare_optimum(instance, profile, cache)
     witness = None
     if alloc.social_welfare != best:
-        witness = {
-            "selected": sorted(alloc.selected),
-            "welfare": value_to_json(alloc.social_welfare),
-            "optimal_set": sorted(best_set),
-            "optimal_welfare": value_to_json(best),
-        }
+        witness = {"selected": sorted(alloc.selected),
+                   "welfare": value_to_json(alloc.social_welfare),
+                   "optimal_set": sorted(best_set), "optimal_welfare": value_to_json(best)}
     return _report("efficiency", name, witness, 1)
 
 
@@ -330,10 +311,8 @@ def twin_pair(instance: Instance, i: str, j: str, ranked: bool) -> bool:
     either the same costs to them and the same valuation (symmetric twins)
     or, when ranked, connections no dearer and a valuation no lower for i
     (i dominates j)."""
-    adj_i = instance.graph.adjacent(i)
-    adj_j = instance.graph.adjacent(j)
-    adj_i.pop(j, None)
-    adj_j.pop(i, None)
+    adj_i = {k: c for k, c in instance.graph.adjacent(i).items() if k != j}
+    adj_j = {k: c for k, c in instance.graph.adjacent(j).items() if k != i}
     if ranked:
         return (adj_i.keys() == adj_j.keys()
                 and all(adj_i[k] <= adj_j[k] for k in adj_i)
@@ -376,12 +355,11 @@ def check_utility_monotonicity(instance: Instance, mechanism, edge=None,
     """Raising the cost of an edge never helps the agents at its endpoints,
     comparing truthful runs before and after. Checks one edge, or every
     edge when none is given."""
-    name, runner = _resolve(mechanism)
     delta = as_value(delta)
     if delta < 0:
         raise ValidationError("cost increase must be nonnegative")
     cache = cache or SteinerCache()
-    base = runner(instance, truthful_profile(instance), cache)
+    name, _, base = _outcome(mechanism, instance, cache)
     edges = ([edge_key(*edge)] if edge is not None
              else sorted(instance.graph.edges()))
     checked = 0
@@ -391,19 +369,15 @@ def check_utility_monotonicity(instance: Instance, mechanism, edge=None,
             raise ValidationError(f"edge {e} is not part of the instance")
         costs[e] = as_value(costs[e] + delta)
         raised = Instance(instance.source, instance.agents, costs, instance.valuations)
-        alloc = runner(raised, truthful_profile(raised), cache)
+        _, _, alloc = _outcome(mechanism, raised, cache)
         for i in e:
             if i == instance.source:
                 continue
             checked += 1
             if alloc.utilities[i] > base.utilities[i]:
-                witness = {
-                    "edge": list(e),
-                    "delta": value_to_json(delta),
-                    "agent": i,
-                    "utility_before": value_to_json(base.utilities[i]),
-                    "utility_after": value_to_json(alloc.utilities[i]),
-                }
+                witness = {"edge": list(e), "delta": value_to_json(delta), "agent": i,
+                           "utility_before": value_to_json(base.utilities[i]),
+                           "utility_after": value_to_json(alloc.utilities[i])}
                 return _report("utility-monotonicity", name, witness, checked)
     return _report("utility-monotonicity", name, None, checked)
 
@@ -432,14 +406,11 @@ def welfare_ratio(instance: Instance, mechanism,
 
 
 class Property(NamedTuple):
-    """How a property is checked. kind is one of
-      instance     run at the truthful profile of an instance
-      pointwise    run at the profile a document carries (else truthful)
-      twin         run on a target (instance, i, j) with twin_pair(..., ranked)
-      measurement  returns a value (or None) rather than a report
-    run(target, mechanism, options, cache) reads step, ir_samples and seed
-    from the parsed options. cap, when set, is the largest agent count the
-    check accepts; a sweep over every property skips larger instances."""
+    """kind is "instance", "pointwise", "twin" (the target is (instance, i,
+    j) with twin_pair(instance, i, j, ranked)) or "measurement". run(target,
+    mechanism, options, cache) reads step, ir_samples and seed from the
+    parsed options. A sweep over every property skips instances with more
+    agents than cap."""
 
     kind: str
     run: Callable
@@ -447,28 +418,32 @@ class Property(NamedTuple):
     ranked: bool = False
 
 
-# Every property, in the order a sweep over all of them runs. Each run looks
-# its checker up as a module global at call time, so rebinding a checker on
-# this module (as the benchmark's tracer does) reaches every caller.
+# In the order a sweep over all of them runs. Each run looks its checker up
+# at call time, so a checker rebound on this module (say, traced) is used.
 PROPERTIES = {
-    "truthfulness": Property("instance", lambda t, m, o, c:
-                             check_truthfulness(t, m, o.step, c)),
-    "feasibility": Property("pointwise", lambda t, m, o, c: check_feasibility(t, m, c)),
-    "individual-rationality": Property("instance", lambda t, m, o, c:
-                                       check_individual_rationality(
-                                           t, m, o.ir_samples, o.seed, o.step, c)),
-    "budget-balance": Property("pointwise", lambda t, m, o, c:
-                               check_budget_balance(t, m, c)),
-    "positiveness": Property("pointwise", lambda t, m, o, c: check_positiveness(t, m, c)),
-    "efficiency": Property("instance", lambda t, m, o, c: check_efficiency(t, m, c),
-                           cap=EFFICIENCY_CAP),
-    "utility-monotonicity": Property("instance", lambda t, m, o, c:
-                                     check_utility_monotonicity(t, m, cache=c)),
-    "symmetry": Property("twin", lambda t, m, o, c: check_symmetry(t[0], m, t[1], t[2], c)),
-    "ranking": Property("twin", lambda t, m, o, c: check_ranking(t[0], m, t[1], t[2], c),
-                        ranked=True),
-    "bbr": Property("measurement", lambda t, m, o, c: budget_balance_ratio(t, m, c)),
-    "welfare-ratio": Property("measurement", lambda t, m, o, c: welfare_ratio(t, m, c)),
+    "truthfulness": Property(
+        "instance", lambda t, m, o, c: check_truthfulness(t, m, o.step, c)),
+    "feasibility": Property(
+        "pointwise", lambda t, m, o, c: check_feasibility(t, m, c)),
+    "individual-rationality": Property(
+        "instance", lambda t, m, o, c: check_individual_rationality(
+            t, m, o.ir_samples, o.seed, o.step, c)),
+    "budget-balance": Property(
+        "pointwise", lambda t, m, o, c: check_budget_balance(t, m, c)),
+    "positiveness": Property(
+        "pointwise", lambda t, m, o, c: check_positiveness(t, m, c)),
+    "efficiency": Property(
+        "instance", lambda t, m, o, c: check_efficiency(t, m, c), cap=EFFICIENCY_CAP),
+    "utility-monotonicity": Property(
+        "instance", lambda t, m, o, c: check_utility_monotonicity(t, m, cache=c)),
+    "symmetry": Property(
+        "twin", lambda t, m, o, c: check_symmetry(t[0], m, t[1], t[2], c)),
+    "ranking": Property(
+        "twin", lambda t, m, o, c: check_ranking(t[0], m, t[1], t[2], c), ranked=True),
+    "bbr": Property(
+        "measurement", lambda t, m, o, c: budget_balance_ratio(t, m, c)),
+    "welfare-ratio": Property(
+        "measurement", lambda t, m, o, c: welfare_ratio(t, m, c)),
 }
 
 

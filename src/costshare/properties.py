@@ -166,8 +166,9 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
     edges_only = name == "bird"
     checked = 0
     for i in sorted(instance.agents):
+        truthful_rep = base_profile.reports[i]
         for rep in enumerate_deviations(instance, i, step, edges_only):
-            if rep == base_profile.reports[i]:
+            if rep == truthful_rep:
                 continue
             alloc = _run_or_none(runner, instance,
                                  apply_deviation(base_profile, i, rep), cache)
@@ -328,7 +329,7 @@ def _check_twins(ranked: bool, instance: Instance, mechanism, i: str, j: str,
     name, _, alloc = _outcome(mechanism, instance, cache)
     u_i, u_j = alloc.utilities[i], alloc.utilities[j]
     witness = None
-    if u_i < u_j if ranked else u_i != u_j:
+    if (u_i < u_j) if ranked else (u_i != u_j):
         witness = {"agents": [i, j], "utilities": [value_to_json(u_i), value_to_json(u_j)]}
     return _report("ranking" if ranked else "symmetry", name, witness, 1)
 

@@ -217,9 +217,3 @@ def test_check_options_are_validated_before_any_property_runs(capsys, extra, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-
-
-def test_check_accepts_an_empty_corpus(capsys):
-    assert main(["check", "--property", "all", "--mechanism", "rsm", "--count", "0"]) == 0
-    reports = json.loads(capsys.readouterr().out)
-    assert [r["instances_checked"] for r in reports] == [0] * 7

@@ -1,35 +1,34 @@
 """Mechanism outcomes.
 
-An allocation names the selected agents, gives a full payment and utility
-vector (zero for unselected agents), the welfare of the selected set under
-the submitted reports, and a witness tree. Witness trees can be expensive
-to reconstruct, so they are built on first access; quantities that only
-need costs stay eager.
+An allocation is the one record of a run: the selected agents with their
+payments, the cheapest cost of connecting the selection to the source, and
+a thunk that builds the tree. Everything else is derived on first access,
+so a caller that reads only utilities or costs never builds a tree.
+``social_welfare`` uses the selection's cheapest cost and ``total_cost``
+the built tree's; they differ only for a staged run whose union of stage
+trees is not a cheapest tree of the selection.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
-from .model import Edge, Value, as_value, value_to_json
+from .model import Edge, ReportProfile, Value, as_value, value_to_json
 
 
+@dataclass(frozen=True)
 class StageRecord:
     """One round of a staged mechanism: who was selected at which equal
     share, who was priced out, who stayed in the pool, and which edges the
     round's tree used (expressed as original instance edges)."""
 
-    __slots__ = ("stage", "selected", "share", "excluded", "remaining", "tree_edges")
-
-    def __init__(self, stage: int, selected: frozenset[str], share: Value,
-                 excluded: frozenset[str], remaining: frozenset[str],
-                 tree_edges: frozenset[Edge]):
-        self.stage = stage
-        self.selected = selected
-        self.share = share
-        self.excluded = excluded
-        self.remaining = remaining
-        self.tree_edges = tree_edges
+    stage: int
+    selected: frozenset[str]
+    share: Value
+    excluded: frozenset[str]
+    remaining: frozenset[str]
+    tree_edges: frozenset[Edge]
 
     def to_json(self) -> dict:
         return {
@@ -45,49 +44,52 @@ class StageRecord:
 class Allocation:
     """Outcome of one mechanism run on one report profile.
 
-    ``tree_thunk`` must return the pair (tree edges, their total cost); it
-    runs at most once. When the total cost is already known from the solve
-    it can be passed eagerly so cost-only consumers never build a witness.
+    ``shares`` maps each selected agent to its payment (the ``shares``
+    attribute adds 0 for everyone else) and ``cost`` is the selection's
+    cheapest connection cost on the induced graph. A single-tree run passes
+    ``tree``, returning the tree's edges, which cost ``cost``. A staged run
+    passes ``stages``, returning its stage records; its tree is their union,
+    priced on the instance graph. Each thunk runs at most once.
     """
 
-    def __init__(self, mechanism: str, selected: frozenset[str],
-                 shares: dict[str, Value], utilities: dict[str, Value],
-                 social_welfare: Value, tree_thunk,
-                 total_cost: Value | None = None, stage_thunk=None):
+    def __init__(self, mechanism: str, profile: ReportProfile,
+                 shares: dict[str, Value], cost: Value, tree=None, stages=None):
         self.mechanism = mechanism
-        self.selected = selected
-        self.shares = shares
-        self.utilities = utilities
-        self.social_welfare = social_welfare
-        self._tree_thunk = tree_thunk
-        self._eager_cost = total_cost
-        self._stage_thunk = stage_thunk
+        self.selected = frozenset(shares)
+        self.shares = {i: shares.get(i, 0) for i in profile.instance.agent_order()}
+        self._profile = profile
+        self._cost = cost
+        self._tree = tree
+        self._stages = stages
 
     @cached_property
-    def _tree(self) -> tuple[frozenset[Edge], Value]:
-        return self._tree_thunk()
+    def utilities(self) -> dict[str, Value]:
+        valuations = self._profile.instance.valuations
+        return {i: as_value(valuations[i] - x) if i in self.selected else 0
+                for i, x in self.shares.items()}
 
-    @property
+    @cached_property
+    def social_welfare(self) -> Value:
+        return as_value(sum(self._profile.valuation(i) for i in self.selected) - self._cost)
+
+    @cached_property
     def tree_edges(self) -> frozenset[Edge]:
-        return self._tree[0]
+        if self._stages is None:
+            return self._tree()
+        return frozenset().union(*(rec.tree_edges for rec in self.stage_trace))
 
-    @property
+    @cached_property
     def total_cost(self) -> Value:
-        if self._eager_cost is not None:
-            return self._eager_cost
-        return self._tree[1]
+        if self._stages is None:
+            return self._cost
+        return self._profile.instance.graph.total_cost(self.tree_edges)
 
     @cached_property
     def stage_trace(self) -> tuple[StageRecord, ...] | None:
-        if self._stage_thunk is None:
-            return None
-        return self._stage_thunk()
+        return None if self._stages is None else self._stages()
 
     def total_shares(self) -> Value:
-        total = 0
-        for x in self.shares.values():
-            total += x
-        return as_value(total)
+        return as_value(sum(self.shares.values()))
 
     def to_json(self, with_stages: bool = False) -> dict:
         doc = {

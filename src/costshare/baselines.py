@@ -7,8 +7,9 @@ and agents can lower their payment by hiding edges, which is exactly the
 failure the truthful mechanisms avoid. Frontier ties go to the smaller
 (cost, edge key) pair, so runs are deterministic.
 
-Everyone is served, so the welfare needs no Steiner solve: the cheapest tree
-spanning every node is a minimum spanning tree, and Prim's tree is one.
+Everyone is served, so the selection's cost needs no Steiner solve: the
+cheapest tree spanning every node is a minimum spanning tree, and Prim's
+tree is one. Its total is both the welfare's cost and the total cost.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import heapq
 
 from .allocation import Allocation
 from .model import (Edge, Instance, ReportProfile, ValidationError, Value,
-                    WeightedGraph, as_value, edge_key, truthful_profile)
+                    WeightedGraph, edge_key, run_profile)
 from .steiner import SteinerCache
 
 
@@ -57,25 +58,9 @@ def run_bird(instance: Instance, profile: ReportProfile | None = None,
     """Run the rule on the induced graph of a profile (truthful by default).
 
     Every agent is selected and pays its attachment cost regardless of any
-    reported valuation. The welfare is the reported value of everyone minus
-    the spanning tree's cost, so no Steiner solve is needed; ``cache`` only
-    supplies the induced graph.
+    reported valuation; ``cache`` only supplies the induced graph.
     """
-    profile = profile if profile is not None else truthful_profile(instance)
-    cache = cache or SteinerCache()
-    graph = cache.induced(profile)
+    profile = run_profile(instance, profile)
+    graph = (cache or SteinerCache()).induced(profile)
     shares, tree = prim_shares(graph, instance.source)
-    utilities = {i: as_value(instance.valuations[i] - shares[i])
-                 for i in instance.agents}
-    selected = frozenset(instance.agents)
-    total = graph.total_cost(tree)
-    sw = as_value(sum(profile.valuation(i) for i in selected) - total)
-    return Allocation(
-        mechanism="bird",
-        selected=selected,
-        shares=dict(shares),
-        utilities=utilities,
-        social_welfare=sw,
-        tree_thunk=lambda: (tree, total),
-        total_cost=total,
-    )
+    return Allocation("bird", profile, shares, graph.total_cost(tree), tree=lambda: tree)

@@ -16,8 +16,8 @@ payments cover at most the tree cost; they are not meant to balance it.
 from __future__ import annotations
 
 from .allocation import Allocation
-from .model import (Instance, ReportProfile, ValidationError, Value, as_value,
-                    truthful_profile, unscale)
+from .model import (Instance, ReportProfile, ValidationError, Value, run_profile,
+                    unscale)
 from .steiner import SteinerCache
 from .welfare import WelfareTable, compute_delta_table
 
@@ -49,34 +49,18 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
     """Run the mechanism on a report profile (truthful by default).
 
     Prices come off the welfare table's scaled ints; each share is turned
-    into an exact value once.
+    into an exact value once. The selection's cost is the table's entry.
     """
-    profile = profile if profile is not None else truthful_profile(instance)
+    profile = run_profile(instance, profile)
     cache = cache or SteinerCache()
     table = compute_delta_table(profile, cache=cache)
-    scale = table.scale
-    full = table.full_mask
-    g_mask = table.delta_masks[full]
-    selected = table.set_of(g_mask)
-    shares: dict[str, Value] = {i: 0 for i in instance.agents}
-    utilities: dict[str, Value] = {i: 0 for i in instance.agents}
-    for b, i in enumerate(table.agents):
-        if g_mask >> b & 1:
-            shares[i] = x = unscale(_scaled_critical_value(table, g_mask, 1 << b), scale)
-            utilities[i] = as_value(instance.valuations[i] - x)
-    solver = cache.solver(cache.induced(profile))
-    total_cost = unscale(table.scaled_costs[g_mask], scale)
+    g_mask = table.delta_masks[table.full_mask]
+    shares = {i: unscale(_scaled_critical_value(table, g_mask, 1 << b), table.scale)
+              for b, i in enumerate(table.agents) if g_mask >> b & 1}
 
-    def tree_thunk():
-        edges = solver.tree_for_mask(instance.source, table.agents, g_mask)
-        return edges, total_cost
+    def tree():
+        solver = cache.solver(cache.induced(profile))
+        return solver.tree_for_mask(instance.source, table.agents, g_mask)
 
-    return Allocation(
-        mechanism="cvm",
-        selected=selected,
-        shares=shares,
-        utilities=utilities,
-        social_welfare=unscale(table.scaled_sw_delta[full], scale),
-        tree_thunk=tree_thunk,
-        total_cost=total_cost,
-    )
+    return Allocation("cvm", profile, shares,
+                      unscale(table.scaled_costs[g_mask], table.scale), tree=tree)

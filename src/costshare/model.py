@@ -284,6 +284,16 @@ def truthful_profile(instance: Instance) -> ReportProfile:
     })
 
 
+def run_profile(instance: Instance, profile: ReportProfile | None) -> ReportProfile:
+    """The given profile, or the truthful one when none is given. Errors
+    when the profile was made for another instance."""
+    if profile is None:
+        return truthful_profile(instance)
+    if profile.instance is not instance:
+        raise ValidationError("the report profile belongs to another instance")
+    return profile
+
+
 def induced_graph(profile: ReportProfile) -> WeightedGraph:
     """Graph induced by a profile: an edge survives only if both endpoints
     declare it. The source declares all its true edges, so a source edge

@@ -35,6 +35,7 @@ from .model import (AgentReport, Instance, ReportProfile, SizeCapError,
                     edge_key, exact_div, truthful_profile, value_to_json)
 from .rsm import run_rsm
 from .steiner import SteinerCache
+from .welfare import social_welfare
 
 MECHANISMS = {"cvm": run_cvm, "rsm": run_rsm, "bird": run_bird}
 
@@ -109,14 +110,19 @@ def valuation_grid(instance: Instance, i: str, step: Value = HALF) -> list[Value
     return sorted(values, key=Fraction)
 
 
+def _menu(instance: Instance, i: str, step: Value, edges_only: bool):
+    """Agent i's sorted true edges and the valuations it may report."""
+    grid = ([instance.valuations[i]] if edges_only
+            else valuation_grid(instance, i, step))
+    return sorted(instance.true_edges_of(i)), grid
+
+
 def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
                          edges_only: bool = False) -> list[AgentReport]:
     """Every report agent i could submit: each subset of its true incident
     edges paired with each grid valuation (just the true valuation when
     edges_only is set). The truthful report is always included."""
-    true_edges = sorted(instance.true_edges_of(i))
-    grid = ([instance.valuations[i]] if edges_only
-            else valuation_grid(instance, i, step))
+    true_edges, grid = _menu(instance, i, step, edges_only)
     subsets = [frozenset(e for b, e in enumerate(true_edges) if mask >> b & 1)
                for mask in range(1 << len(true_edges))]
     return [AgentReport(declared, v) for declared in subsets for v in grid]
@@ -248,15 +254,27 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
     cache = cache or SteinerCache()
     base = truthful_profile(instance)
     edges_only = name == "bird"
-    deviations = {j: enumerate_deviations(instance, j, step, edges_only)
-                  for j in instance.agents}
+    menus = {j: _menu(instance, j, step, edges_only) for j in instance.agent_order()}
+    drawn: dict[tuple[str, int], AgentReport] = {}
     rng = random.Random(seed)
+
+    def draw(j: str) -> AgentReport:
+        # Entry k of enumerate_deviations' list, built only once it is drawn
+        # and then reused, so repeated draws share one report object.
+        edges, grid = menus[j]
+        k = rng.randrange(len(grid) << len(edges))
+        rep = drawn.get((j, k))
+        if rep is None:
+            mask, g = divmod(k, len(grid))
+            rep = drawn[j, k] = AgentReport(
+                frozenset(e for b, e in enumerate(edges) if mask >> b & 1), grid[g])
+        return rep
+
     checked = 0
     for i in sorted(instance.agents):
         for _ in range(samples):
             # Draw in sorted order: frozenset order varies with the hash seed.
-            reports = {j: (base.reports[j] if j == i
-                           else deviations[j][rng.randrange(len(deviations[j]))])
+            reports = {j: base.reports[j] if j == i else draw(j)
                        for j in instance.agent_order()}
             alloc = _run_or_none(runner, instance,
                                  ReportProfile(instance, reports), cache)
@@ -276,17 +294,13 @@ def _welfare_optimum(instance: Instance, profile: ReportProfile,
     """Best reachable welfare and its first witness set, by direct scan over
     agent subsets (kept independent of the recurrence used by selection)."""
     agents = instance.agent_order()
-    costs = cache.solver(cache.induced(profile)).cost_table(instance.source, agents)
-    best, best_mask = 0, 0
+    best, best_set = 0, frozenset()
     for mask in range(1, 1 << len(agents)):
-        c = costs[mask]
-        if c is None:
-            continue
-        sw = sum(profile.valuation(a) for b, a in enumerate(agents) if mask >> b & 1) - c
-        if sw > best:
-            best, best_mask = sw, mask
-    members = frozenset(a for b, a in enumerate(agents) if best_mask >> b & 1)
-    return as_value(best), members
+        S = frozenset(a for b, a in enumerate(agents) if mask >> b & 1)
+        sw = social_welfare(profile, S, cache)
+        if sw is not None and sw > best:
+            best, best_set = sw, S
+    return best, best_set
 
 
 def check_efficiency(instance: Instance, mechanism,
@@ -452,8 +466,6 @@ def welfare_ratio_of_selection(instance: Instance, selection,
                                cache: SteinerCache | None = None) -> Value:
     """Welfare share a mechanism would reach by selecting a fixed set,
     relative to the optimum; used to study selection rules abstractly."""
-    from .welfare import social_welfare
-
     cache = cache or SteinerCache()
     profile = truthful_profile(instance)
     sw = social_welfare(profile, selection, cache)

@@ -26,17 +26,18 @@ share is built as an exact value.
 A run reads its induced graph and every stage's contracted graph from the
 SteinerCache, so runs that differ only in reported valuations share them.
 
-The welfare of the final selection is read from stage 1's cost table: stage
-1 runs on the uncontracted graph over the whole agent pool, so its table
-already holds the cheapest tree for every agent subset.
+The welfare of the final selection uses its cheapest connection cost,
+not the union tree's. ``welfare.connection_cost`` reads it from stage 1's
+own cost table (the uncontracted graph over the whole pool), so it costs no
+DP run. Each stage tree is built once, when the trace or tree is first read.
 """
 
 from __future__ import annotations
 
 from .allocation import Allocation, StageRecord
-from .model import (Instance, ReportProfile, Value, WeightedGraph, as_value,
-                    truthful_profile, unscale)
+from .model import Instance, ReportProfile, Value, WeightedGraph, run_profile, unscale
 from .steiner import SteinerCache, scaled_to_ints
+from .welfare import connection_cost
 
 
 def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
@@ -99,7 +100,7 @@ def _labels(agents: tuple[str, ...], mask: int) -> tuple[str, ...]:
 def run_rsm(instance: Instance, profile: ReportProfile | None = None,
             cache: SteinerCache | None = None) -> Allocation:
     """Run the mechanism on a report profile (truthful by default)."""
-    profile = profile if profile is not None else truthful_profile(instance)
+    profile = run_profile(instance, profile)
     cache = cache or SteinerCache()
     base = cache.induced(profile)
     source = instance.source
@@ -108,6 +109,7 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
     remaining = frozenset(instance.agents)
     merged = frozenset({source})
     x_prev: Value = 0
+    shares: dict[str, Value] = {}
     stages = []  # (selected, share, excluded, remaining after, graph, pool order)
     while remaining:
         graph = cache.contracted(base, merged, source)
@@ -119,57 +121,19 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
         excluded_t = frozenset(i for i in remaining - selected_t if reported[i] < x_t)
         remaining = remaining - selected_t - excluded_t
         stages.append((selected_t, x_t, excluded_t, remaining, graph, pool))
+        shares.update(dict.fromkeys(selected_t, x_t))
         merged = merged | selected_t
         x_prev = x_t
 
-    selected = frozenset().union(*(s for s, *_ in stages)) if stages else frozenset()
-    shares: dict[str, Value] = {i: 0 for i in instance.agents}
-    utilities: dict[str, Value] = {i: 0 for i in instance.agents}
-    for selected_t, x_t, *_ in stages:
-        for i in selected_t:
-            shares[i] = x_t
-            utilities[i] = as_value(instance.valuations[i] - x_t)
-
-    if stages:
-        # Contracting only the source leaves the graph as it is, so stage
-        # 1's cost table, over every agent, prices the final selection.
-        *_, graph_1, pool_1 = stages[0]
-        costs = cache.solver(graph_1).cost_table(source, pool_1)
-        c_min = costs[sum(1 << b for b, a in enumerate(pool_1) if a in selected)]
-        sw = as_value(sum(reported[i] for i in selected) - c_min)
-    else:
-        sw = 0
-
-    def stage_trees() -> list[frozenset]:
-        out = []
-        for selected_t, _, _, _, graph, pool in stages:
-            solver = cache.solver(graph)
-            mask = 0
-            for b, a in enumerate(pool):
-                if a in selected_t:
-                    mask |= 1 << b
-            edges = solver.tree_for_mask(source, pool, mask)
-            out.append(frozenset(graph.origin_of(e) for e in edges))
-        return out
-
-    def tree_thunk():
-        edges = frozenset().union(*stage_trees()) if stages else frozenset()
-        return edges, instance.graph.total_cost(edges)
-
-    def stage_thunk():
+    def stage_records():
         records = []
-        for t, ((selected_t, x_t, excluded_t, remaining_t, _, _), edges) in enumerate(
-                zip(stages, stage_trees()), start=1):
-            records.append(StageRecord(t, selected_t, x_t, excluded_t,
-                                       remaining_t, edges))
+        for t, (selected_t, x_t, excluded_t, remaining_t, graph, pool) in enumerate(
+                stages, start=1):
+            mask = sum(1 << b for b, a in enumerate(pool) if a in selected_t)
+            edges = cache.solver(graph).tree_for_mask(source, pool, mask)
+            records.append(StageRecord(t, selected_t, x_t, excluded_t, remaining_t,
+                                       frozenset(graph.origin_of(e) for e in edges)))
         return tuple(records)
 
-    return Allocation(
-        mechanism="rsm",
-        selected=selected,
-        shares=shares,
-        utilities=utilities,
-        social_welfare=sw,
-        tree_thunk=tree_thunk,
-        stage_thunk=stage_thunk,
-    )
+    return Allocation("rsm", profile, shares, connection_cost(profile, shares, cache),
+                      stages=stage_records)

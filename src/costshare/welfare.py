@@ -2,11 +2,13 @@
 
 The social welfare of a set S under a report profile is the reported value
 of S minus the exact cost of connecting S to the source on the induced
-graph. The table below follows the bottom-up recurrence over subsets in
-ascending cardinality: delta(S) is the best predecessor's delta unless S
-itself matches or beats it, in which case delta(S) = S (ties favor the
-larger, current set). Predecessor ties go to the lexicographically smallest
-sorted label list, which for equal welfare means dropping the largest label.
+graph; ``connection_cost`` reads that cost from the table over every
+agent that the recurrence and RSM's first stage build. The table below
+follows the bottom-up recurrence over subsets in ascending cardinality:
+delta(S) is the best predecessor's delta unless S itself matches or beats
+it, in which case delta(S) = S (ties favor the larger, current set).
+Predecessor ties go to the lexicographically smallest sorted label list,
+which for equal welfare means dropping the largest label.
 
 Because the recurrence for S only ever reads entries of subsets of S, the
 table restricted to any ground set agrees with a fresh run on that ground
@@ -97,9 +99,10 @@ class WelfareTable:
         return (1 << len(self.agents)) - 1
 
 
-def social_welfare(profile: ReportProfile, S, cache: SteinerCache | None = None):
-    """Reported value of S minus the exact connection cost of S on the
-    induced graph; None when S cannot be connected to the source."""
+def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None):
+    """Cheapest cost of connecting the agent set S to the source on the
+    induced graph; None when S cannot be connected. After a welfare table
+    or an RSM run on the same cache, this is a memo hit."""
     inst = profile.instance
     S = frozenset(S)
     if not S <= inst.agents:
@@ -107,8 +110,16 @@ def social_welfare(profile: ReportProfile, S, cache: SteinerCache | None = None)
     if not S:
         return 0
     cache = cache or SteinerCache()
-    solver = cache.solver(cache.induced(profile))
-    c = solver.cost(S | {inst.source})
+    agents = inst.agent_order()
+    costs = cache.solver(cache.induced(profile)).cost_table(inst.source, agents)
+    return costs[sum(1 << b for b, a in enumerate(agents) if a in S)]
+
+
+def social_welfare(profile: ReportProfile, S, cache: SteinerCache | None = None):
+    """Reported value of S minus its connection cost; None when S cannot be
+    connected to the source."""
+    S = frozenset(S)
+    c = connection_cost(profile, S, cache)
     if c is None:
         return None
     return as_value(sum(profile.valuation(i) for i in S) - c)

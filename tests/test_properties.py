@@ -258,3 +258,62 @@ def test_individual_rationality_samples_do_not_depend_on_the_hash_seed():
                               capture_output=True, text=True, check=True)
         outs.append(json.loads(proc.stdout))
     assert outs[0] == outs[1] == outs[2]
+
+
+def _reference_ir_draws(instance, name, samples, seed, step):
+    """The profiles the IR check runs, drawn by indexing each agent's full
+    enumerate_deviations list, stopping where the check stops."""
+    import random
+
+    from costshare import ReportProfile, truthful_profile
+    from costshare.properties import MECHANISMS
+
+    base = truthful_profile(instance)
+    lists = {j: enumerate_deviations(instance, j, step, name == "bird")
+             for j in instance.agent_order()}
+    rng = random.Random(seed)
+    drawn = []
+    for i in instance.agent_order():
+        for _ in range(samples):
+            reports = {j: base.reports[j] if j == i else lists[j][rng.randrange(len(lists[j]))]
+                       for j in instance.agent_order()}
+            drawn.append(reports)
+            try:
+                alloc = MECHANISMS[name](instance, ReportProfile(instance, reports))
+            except ValidationError:
+                continue
+            if alloc.utilities[i] < 0:
+                return drawn
+    return drawn
+
+
+@pytest.mark.parametrize("name", ["cvm", "rsm", "bird"])
+@pytest.mark.parametrize("step", [Fraction(1, 2), Fraction(1, 3)])
+def test_individual_rationality_draws_match_the_deviation_lists(name, step):
+    from costshare.properties import MECHANISMS
+
+    for seed in (0, 5, 17):
+        inst = generate_instance(4, 0.5, seed=seed)
+        seen = []
+
+        def recorder(instance, profile, cache):
+            seen.append(dict(profile.reports))
+            return MECHANISMS[name](instance, profile, cache)
+
+        recorder.__name__ = name
+        rep = check_individual_rationality(inst, recorder, samples=6, seed=seed, step=step)
+        assert seen == _reference_ir_draws(inst, name, 6, seed, step)
+        assert rep.to_json() == check_individual_rationality(
+            inst, name, samples=6, seed=seed, step=step).to_json()
+
+
+def test_individual_rationality_never_builds_deviation_lists(monkeypatch):
+    import costshare.properties as properties_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full deviation list was built")
+
+    monkeypatch.setattr(properties_module, "enumerate_deviations", refuse)
+    rep = check_individual_rationality(generate_instance(4, 0.5, seed=1), "cvm",
+                                       samples=5, step=Fraction(1, 200))
+    assert rep.holds and rep.instances_checked > 0

@@ -12,12 +12,12 @@ ints or fractions.Fraction throughout, never floats.
 """
 
 from .allocation import Allocation, StageRecord
-from .baselines import prim_shares, run_bird
+from .baselines import run_bird
 from .cvm import critical_value, run_cvm
 from .documents import load_document, parse_instance, serialize_instance
 from .model import (AgentReport, Edge, Instance, ReportProfile, SizeCapError,
                     ValidationError, Value, WeightedGraph, apply_deviation,
-                    as_value, edge_key, exact_div, induced_graph, neighbors,
+                    as_value, edge_key, exact_div, induced_graph,
                     truthful_profile, value_to_json)
 from .properties import (MECHANISMS, PropertyReport, budget_balance_ratio,
                          check_budget_balance, check_efficiency,
@@ -27,28 +27,25 @@ from .properties import (MECHANISMS, PropertyReport, budget_balance_ratio,
                          enumerate_deviations, generate_instance,
                          make_twin_instance, welfare_ratio,
                          welfare_ratio_of_selection)
-from .rsm import run_rsm, stage_solve
-from .steiner import (SteinerCache, SteinerResult, SteinerSolver,
-                      brute_force_steiner_oracle, contract_into_source,
-                      steiner_cost)
-from .welfare import WelfareTable, compute_delta_table, social_welfare
+from .rsm import run_rsm
+from .steiner import SteinerCache, SteinerSolver, brute_force_steiner_oracle
+from .welfare import compute_delta_table, social_welfare
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "AgentReport", "Edge", "Instance", "MECHANISMS",
     "PropertyReport", "ReportProfile", "SizeCapError", "StageRecord",
-    "SteinerCache", "SteinerResult", "SteinerSolver", "ValidationError",
-    "Value", "WeightedGraph", "WelfareTable", "apply_deviation", "as_value",
+    "SteinerCache", "SteinerSolver", "ValidationError", "Value",
+    "WeightedGraph", "apply_deviation", "as_value",
     "brute_force_steiner_oracle", "budget_balance_ratio",
     "check_budget_balance", "check_efficiency", "check_feasibility",
     "check_individual_rationality", "check_positiveness", "check_ranking",
     "check_symmetry", "check_truthfulness", "check_utility_monotonicity",
-    "compute_delta_table", "contract_into_source", "critical_value",
-    "edge_key", "enumerate_deviations", "exact_div", "generate_instance",
-    "induced_graph", "load_document", "make_twin_instance", "neighbors",
-    "parse_instance", "prim_shares", "run_bird", "run_cvm", "run_rsm",
-    "serialize_instance", "social_welfare", "stage_solve", "steiner_cost",
-    "truthful_profile", "value_to_json", "welfare_ratio",
-    "welfare_ratio_of_selection",
+    "compute_delta_table", "critical_value", "edge_key",
+    "enumerate_deviations", "exact_div", "generate_instance",
+    "induced_graph", "load_document", "make_twin_instance",
+    "parse_instance", "run_bird", "run_cvm", "run_rsm",
+    "serialize_instance", "social_welfare", "truthful_profile",
+    "value_to_json", "welfare_ratio", "welfare_ratio_of_selection",
 ]

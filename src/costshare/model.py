@@ -311,19 +311,6 @@ def induced_graph(profile: ReportProfile) -> WeightedGraph:
     return WeightedGraph(inst.graph.nodes, costs)
 
 
-def neighbors(profile: ReportProfile, i: str) -> frozenset[str]:
-    """Agent nodes adjacent to i in the induced graph (the source is never a
-    member of the result, matching the agent-only neighborhood definition).
-
-    i may be an agent or the source.
-    """
-    inst = profile.instance
-    if i != inst.source and i not in inst.agents:
-        raise ValidationError(f"unknown node {i!r}")
-    g = induced_graph(profile)
-    return frozenset(w for w in g.adjacent(i) if w != inst.source)
-
-
 def apply_deviation(profile: ReportProfile, i: str, report: AgentReport) -> ReportProfile:
     """A copy of the profile where agent i reports ``report`` instead.
 

@@ -8,12 +8,15 @@ cheap. Non-terminal nodes may appear in a tree (Steiner points); an
 unreachable terminal makes the query infeasible, reported as None rather
 than a sentinel cost.
 
-Inside a solver everything is a plain int: edge costs are scaled once by the
-lcm of their denominators, and an int sentinel above every real cost stands
-for "no path". Values leave as exact ints or Fractions only through
-``cost_table``, whose tables are memoized per query. ``scaled_to_ints``
-puts such a table and a list of valuations back on one int scale, for
-callers that do their own arithmetic on both.
+Everything here is a plain int: edge costs are scaled once by the lcm of
+their denominators, ``solver.scale``, and an int sentinel above every real
+cost stands for "no path". ``cost_table`` hands out those scaled ints, with
+None for an infeasible subset, and memoizes its tables per query.
+``scaled_to_ints`` lifts such a table and a list of valuations to one common
+int scale, for callers that do their own arithmetic on both. Callers unscale
+only their results; ``welfare.connection_cost`` is the one place a table
+entry itself becomes an exact int or Fraction, and ``tree_for_mask``
+unscales one only to check its witness's cost.
 
 A run stores only the dp values. Witness trees are reconstructed by
 re-deriving, for each mask on the backtracking path, the merge and grow
@@ -108,11 +111,10 @@ class SteinerSolver:
     """Per-graph exact Steiner solver with memoized DP runs.
 
     Edge costs are scaled once to ints by the lcm of their denominators,
-    ``scale``; shortest paths and the DP run on those ints, and
-    ``_unscale`` turns a value back into an exact int or Fraction. A pair
-    of nodes with no path between them is ``_inf`` apart: one more than the
-    sum of all costs, so any value at or above it marks an infeasible
-    subset.
+    ``scale``; shortest paths, the DP and its cost tables stay on those
+    ints. A pair of nodes with no path between them is ``_inf`` apart: one
+    more than the sum of all costs, so any value at or above it marks an
+    infeasible subset.
 
     A run is keyed by the terminal tuple; its dp table answers the cost of
     connecting any terminal subset to any node, so callers that sweep
@@ -138,11 +140,6 @@ class SteinerSolver:
         self._dist, self._nxt = self._shortest_paths(costs)
         self._runs: dict[tuple[int, ...], list] = {}
         self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
-
-    def _unscale(self, c: int) -> Value | None:
-        if c >= self._inf:
-            return None
-        return unscale(c, self.scale)
 
     def _shortest_paths(self, int_costs: dict[Edge, int]):
         n, inf = self._n, self._inf
@@ -240,17 +237,18 @@ class SteinerSolver:
         return dp
 
     def cost_table(self, root_label: str, terminal_labels: tuple[str, ...]):
-        """Exact connection cost of {root} plus every subset of the terminal
-        list, indexed by subset bitmask over the given order. None marks an
-        infeasible (disconnected) subset. The list is memoized per query and
-        shared between callers, so it must not be modified."""
+        """Connection cost of {root} plus every subset of the terminal list,
+        scaled by ``self.scale`` and indexed by subset bitmask over the
+        given order. None marks an infeasible (disconnected) subset. The
+        list is memoized per query and shared between callers, so it must
+        not be modified."""
         key = (root_label, tuple(terminal_labels))
         table = self._tables.get(key)
         if table is None:
             root = self._term_indices([root_label])[0]
             dp = self._run(tuple(self._term_indices(terminal_labels)))
-            unscale = self._unscale
-            table = [0] + [unscale(dp[mask][root]) for mask in range(1, len(dp))]
+            inf = self._inf
+            table = [0] + [row[root] if row[root] < inf else None for row in dp[1:]]
             self._tables[key] = table
         return table
 
@@ -316,63 +314,34 @@ class SteinerSolver:
         if mask == 0:
             return frozenset()
         dp = self._run(terms)
-        want = self._unscale(dp[mask][root])
-        if want is None:
+        want = dp[mask][root]
+        if want >= self._inf:
             raise ValidationError("no tree exists for an infeasible subset")
         acc: set[Edge] = set()
         self._collect_edges(dp, terms, mask, root, acc)
         keep = frozenset({root_label} | {terminal_labels[b]
                                          for b in range(len(terms)) if mask >> b & 1})
         tree = self._canonical_tree(acc, keep)
-        got = self.graph.total_cost(tree)
+        got, want = self.graph.total_cost(tree), unscale(want, self.scale)
         if got != want:
             raise AssertionError(f"witness cost {got} disagrees with dp value {want}")
         return tree
 
-    def cost(self, terminals) -> Value | None:
-        """Cheapest cost of a tree spanning the terminal set, or None."""
-        terms = sorted(frozenset(terminals))
-        if len(terms) <= 1:
-            return 0
-        rest = tuple(terms[1:])
-        table = self.cost_table(terms[0], rest)
-        return table[(1 << len(rest)) - 1]
-
-    def tree(self, terminals) -> SteinerResult | None:
-        """Minimum tree with witness for the terminal set, or None."""
-        tset = frozenset(terminals)
-        terms = sorted(tset)
-        self._term_indices(terms)
-        if len(terms) <= 1:
-            return SteinerResult(tset, 0, frozenset())
-        rest = tuple(terms[1:])
-        table = self.cost_table(terms[0], rest)
-        full = (1 << len(rest)) - 1
-        if table[full] is None:
-            return None
-        edges = self.tree_for_mask(terms[0], rest, full)
-        return SteinerResult(tset, table[full], edges)
-
 
 def scaled_to_ints(solver: SteinerSolver, table: list, values) -> tuple[int, list, list[int]]:
-    """Scale a cost table of ``solver`` and a list of exact values to ints by
-    one common factor: the lcm of the solver's cost scale and the values'
+    """Lift a cost table of ``solver`` and a list of exact values to ints on
+    one common factor: the lcm of the solver's scale and the values'
     denominators. Returns (factor, int table, int values); infeasible table
     entries stay None. ``model.unscale`` turns a result back into an exact
-    value. The table's Fractions have denominators dividing the solver's
-    scale, so every product is an exact int."""
+    value."""
     scale = solver.scale
     for v in values:
         if not isinstance(v, int):
             scale = lcm(scale, v.denominator)
-    if scale == 1:
-        return 1, table, list(values)
     ints = [v.numerator * (scale // v.denominator) for v in values]
-    if solver.scale == 1:  # the table holds only ints, and None
-        table = [None if c is None else c * scale for c in table]
-    else:
-        table = [None if c is None else c.numerator * (scale // c.denominator)
-                 for c in table]
+    lift = scale // solver.scale
+    if lift != 1:
+        table = [None if c is None else c * lift for c in table]
     return scale, table, ints
 
 
@@ -414,14 +383,6 @@ class SteinerCache:
         if g is None:
             g = self._contracted[key] = contract_into_source(graph, merged, source)
         return g
-
-
-def steiner_cost(graph: WeightedGraph, terminals,
-                 cache: SteinerCache | None = None) -> SteinerResult | None:
-    """Exact minimum Steiner tree of the terminal set, or None if some
-    terminals cannot be connected."""
-    solver = cache.solver(graph) if cache is not None else SteinerSolver(graph)
-    return solver.tree(terminals)
 
 
 @lru_cache(maxsize=128)

@@ -15,16 +15,19 @@ table restricted to any ground set agrees with a fresh run on that ground
 set; mechanisms rely on this to read delta over reduced agent pools from
 one full table.
 
-The recurrence runs on ints: connection costs and reported valuations are
-scaled by one common factor (the lcm of their denominators) before the
-table is built. A table keeps those ints with the factor, and its public
-value accessors divide back to exact ints or Fractions only when read.
+The recurrence runs on ints. The solver's cost table is already scaled
+ints; ``scaled_to_ints`` lifts it and the reported valuations to one common
+factor (the lcm of their denominators), and a table keeps those ints with
+the factor. Values become exact ints or Fractions only where they leave:
+``connection_cost`` is the one place a cost-table entry is unscaled,
+``WelfareTable.sw_delta_of`` unscales one welfare, and the mechanisms
+unscale their own prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .model import SizeCapError, ValidationError, Value, as_value, unscale
 from .model import ReportProfile
@@ -40,41 +43,16 @@ class WelfareTable:
     Masks index subsets of ``agents`` (sorted order, bit b is agents[b]).
     The ``scaled_*`` tuples hold the table as ints, every value multiplied
     by ``scale``: ``scaled_sw_delta[m]`` is the welfare of delta of the
-    subset, ``scaled_raw_sw[m]`` the subset's own welfare and
-    ``scaled_costs[m]`` its connection cost (both None when it cannot be
-    connected), ``scaled_value_sums[m]`` its reported value. ``sw_delta``,
-    ``raw_sw``, ``costs`` and ``value_sums`` are the same tables as exact
-    values.
+    subset, ``scaled_costs[m]`` its connection cost (None when it cannot be
+    connected) and ``scaled_value_sums[m]`` its reported value.
     """
 
     agents: tuple[str, ...]
-    source: str
     delta_masks: tuple[int, ...]
     scale: int
     scaled_sw_delta: tuple[int, ...]
-    scaled_raw_sw: tuple
     scaled_costs: tuple
     scaled_value_sums: tuple[int, ...]
-
-    def _exact(self, scaled: int | None) -> Value | None:
-        """The exact value of one scaled entry."""
-        return None if scaled is None else unscale(scaled, self.scale)
-
-    @cached_property
-    def sw_delta(self) -> tuple[Value, ...]:
-        return tuple(map(self._exact, self.scaled_sw_delta))
-
-    @cached_property
-    def raw_sw(self) -> tuple:
-        return tuple(map(self._exact, self.scaled_raw_sw))
-
-    @cached_property
-    def costs(self) -> tuple:
-        return tuple(map(self._exact, self.scaled_costs))
-
-    @cached_property
-    def value_sums(self) -> tuple[Value, ...]:
-        return tuple(map(self._exact, self.scaled_value_sums))
 
     def mask_of(self, S) -> int:
         idx = {a: b for b, a in enumerate(self.agents)}
@@ -92,7 +70,7 @@ class WelfareTable:
         return self.set_of(self.delta_masks[self.mask_of(S)])
 
     def sw_delta_of(self, S) -> Value:
-        return self._exact(self.scaled_sw_delta[self.mask_of(S)])
+        return unscale(self.scaled_sw_delta[self.mask_of(S)], self.scale)
 
     @property
     def full_mask(self) -> int:
@@ -101,8 +79,17 @@ class WelfareTable:
 
 def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None):
     """Cheapest cost of connecting the agent set S to the source on the
-    induced graph; None when S cannot be connected. After a welfare table
-    or an RSM run on the same cache, this is a memo hit."""
+    induced graph, as an exact int or Fraction; None when S cannot be
+    connected. This is the one place an entry of a solver's scaled cost
+    table is unscaled.
+
+    Every query reads the table over all agents. After a welfare table or
+    an RSM run on the same cache that is a memo hit, but a one-off query on
+    a cold cache pays one full DP over every agent, however small S is.
+    For a two-agent set of ``generate_instance(12, 0.4, seed=3)`` that took
+    0.40-0.54 s (2 vCPUs, CPython 3.11.7), where a DP over S alone takes
+    under 1 ms.
+    """
     inst = profile.instance
     S = frozenset(S)
     if not S <= inst.agents:
@@ -111,8 +98,10 @@ def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None
         return 0
     cache = cache or SteinerCache()
     agents = inst.agent_order()
-    costs = cache.solver(cache.induced(profile)).cost_table(inst.source, agents)
-    return costs[sum(1 << b for b, a in enumerate(agents) if a in S)]
+    solver = cache.solver(cache.induced(profile))
+    mask = sum(1 << b for b, a in enumerate(agents) if a in S)
+    c = solver.cost_table(inst.source, agents)[mask]
+    return None if c is None else unscale(c, solver.scale)
 
 
 def social_welfare(profile: ReportProfile, S, cache: SteinerCache | None = None):
@@ -135,15 +124,15 @@ def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def compute_delta_table(profile: ReportProfile, cache: SteinerCache | None = None,
-                        ground=None, cap: int = WELFARE_CAP) -> WelfareTable:
+                        ground=None) -> WelfareTable:
     """Run the welfare recurrence over all subsets of the ground set
     (default: every agent) for one report profile."""
     inst = profile.instance
     agents = tuple(sorted(ground)) if ground is not None else inst.agent_order()
     if not frozenset(agents) <= inst.agents:
         raise ValidationError("ground set must consist of agents")
-    if len(agents) > cap:
-        raise SizeCapError(f"{len(agents)} agents exceed the welfare cap of {cap}")
+    if len(agents) > WELFARE_CAP:
+        raise SizeCapError(f"{len(agents)} agents exceed the welfare cap of {WELFARE_CAP}")
     cache = cache or SteinerCache()
     solver = cache.solver(cache.induced(profile))
     reports = profile.reports
@@ -174,10 +163,5 @@ def compute_delta_table(profile: ReportProfile, cache: SteinerCache | None = Non
         else:
             delta_masks[mask] = delta_masks[best_pred]
             sw_delta[mask] = best
-    return WelfareTable(agents, inst.source, tuple(delta_masks), scale, tuple(sw_delta),
-                        tuple(raw_sw), tuple(costs), tuple(value_sums))
-
-
-def delta(table: WelfareTable, S) -> frozenset[str]:
-    """The welfare-maximizing subset the recurrence assigns to S."""
-    return table.delta_of(S)
+    return WelfareTable(agents, tuple(delta_masks), scale, tuple(sw_delta),
+                        tuple(costs), tuple(value_sums))

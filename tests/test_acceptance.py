@@ -148,12 +148,19 @@ def test_criterion_08_steiner_solver_matches_oracle():
         g = _random_graph(seed)
         solver = SteinerSolver(g)
         nodes = sorted(g.nodes)
+        # One table per root, over every other node; a terminal set is
+        # read at its smallest label.
+        tables = {}
+        for root in nodes:
+            others = tuple(v for v in nodes if v != root)
+            tables[root] = others, solver.cost_table(root, others)
         for size in range(1, 5):
             for terms in combinations(nodes, size):
-                t = frozenset(terms)
-                ref = brute_force_steiner_oracle(g, t)
-                want = None if ref is None else ref.cost
-                assert solver.cost(t) == want, (seed, terms)
+                others, table = tables[terms[0]]
+                got = table[sum(1 << others.index(t) for t in terms[1:])]
+                ref = brute_force_steiner_oracle(g, frozenset(terms))
+                want = None if ref is None else ref.cost * solver.scale
+                assert got == want, (seed, terms)
                 checked += 1
     elapsed = time.perf_counter() - start
     assert checked > 10_000

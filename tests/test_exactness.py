@@ -19,7 +19,7 @@ from costshare import (AgentReport, Instance, apply_deviation,
 from costshare.model import induced_graph
 from costshare.rsm import stage_solve
 from costshare.steiner import SteinerCache, brute_force_steiner_oracle
-from costshare.welfare import compute_delta_table
+from costshare.welfare import compute_delta_table, connection_cost, social_welfare
 
 from test_welfare import _reference_delta
 
@@ -65,19 +65,22 @@ def test_delta_table_matches_the_rational_reference(seed):
         for mask in range(1 << len(table.agents)):
             S = table.set_of(mask)
             want_w, want_set = rec(S)
-            assert table.sw_delta[mask] == want_w, (seed, sorted(S))
-            assert type(table.sw_delta[mask]) is _exact_type(want_w)
-            assert table.sw_delta_of(S) == want_w
+            assert table.sw_delta_of(S) == want_w, (seed, sorted(S))
+            assert type(table.sw_delta_of(S)) is _exact_type(want_w)
             assert table.set_of(table.delta_masks[mask]) == want_set, (seed, sorted(S))
             value = sum((prof.valuation(a) for a in S), Fraction(0))
-            assert table.value_sums[mask] == value
+            assert table.scaled_value_sums[mask] == value * table.scale
             res = brute_force_steiner_oracle(graph, S | {inst.source})
+            cost = connection_cost(prof, S, cache)
             if res is None:
-                assert table.costs[mask] is None and table.raw_sw[mask] is None
+                assert table.scaled_costs[mask] is None and cost is None
+                assert social_welfare(prof, S, cache) is None
             else:
-                assert table.costs[mask] == res.cost
-                assert table.raw_sw[mask] == value - res.cost
-                assert type(table.raw_sw[mask]) is _exact_type(value - res.cost)
+                assert table.scaled_costs[mask] == res.cost * table.scale
+                assert cost == res.cost and type(cost) is _exact_type(res.cost)
+                welfare = social_welfare(prof, S, cache)
+                assert welfare == value - res.cost
+                assert type(welfare) is _exact_type(value - res.cost)
 
 
 def _reference_stage(graph, source, remaining, reported, x_prev):

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from costshare import (AgentReport, Instance, ReportProfile, ValidationError,
                        apply_deviation, as_value, edge_key, exact_div,
-                       induced_graph, neighbors, truthful_profile,
-                       value_to_json)
+                       induced_graph, truthful_profile, value_to_json)
 from costshare.model import WeightedGraph
 
 
@@ -121,15 +120,6 @@ def test_induced_graph_needs_mutual_declaration():
     # the source declares implicitly, so (s,b) survives when b declares it
     partial = apply_deviation(prof, "b", AgentReport(frozenset({("b", "s")}), 3))
     assert set(induced_graph(partial).edges()) == {("a", "s"), ("b", "s")}
-
-
-def test_neighbors_are_agents_only():
-    inst = Instance("s", ["a", "b"],
-                    {("s", "a"): 2, ("s", "b"): 4, ("a", "b"): 3},
-                    {"a": 3, "b": 3})
-    prof = truthful_profile(inst)
-    assert neighbors(prof, "s") == frozenset({"a", "b"})
-    assert neighbors(prof, "a") == frozenset({"b"})
 
 
 def test_apply_deviation_replaces_one_report():

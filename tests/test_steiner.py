@@ -12,12 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare import (SizeCapError, ValidationError, generate_instance,
-                       steiner_cost)
+from costshare import (Instance, SizeCapError, ValidationError,
+                       generate_instance, truthful_profile)
 from costshare.model import WeightedGraph
 from costshare.steiner import (MAX_NODES, ORACLE_MAX_NODES, SteinerCache,
                                SteinerSolver, brute_force_steiner_oracle,
                                contract_into_source)
+from costshare.welfare import connection_cost
 
 
 def _graph(costs, extra_nodes=()):
@@ -57,32 +58,38 @@ def test_oracle_disconnected_is_none():
 
 def test_solver_matches_hand_values():
     solver = SteinerSolver(TRIANGLE)
-    assert solver.cost({"s", "a", "b"}) == 5
-    assert solver.cost({"s", "b"}) == 4
-    assert solver.cost({"s"}) == 0
-    assert solver.cost(set()) == 0
-    result = solver.tree({"s", "a", "b"})
-    assert result.cost == 5
-    assert result.tree_edges == frozenset({("a", "s"), ("a", "b")})
+    assert solver.scale == 1
+    # {s}, {s, a}, {s, b}, {s, a, b}
+    assert solver.cost_table("s", ("a", "b")) == [0, 2, 4, 5]
+    assert solver.tree_for_mask("s", ("a", "b"), 0b11) == frozenset({("a", "s"), ("a", "b")})
+    assert solver.tree_for_mask("s", ("a", "b"), 0) == frozenset()
 
 
 def test_solver_uses_steiner_relays():
     solver = SteinerSolver(DETOUR)
-    res = solver.tree({"s", "b"})
-    assert res.cost == 10
-    assert res.tree_edges == frozenset({("a", "s"), ("a", "b")})
+    assert solver.cost_table("s", ("b",)) == [0, 10]
+    assert solver.tree_for_mask("s", ("b",), 1) == frozenset({("a", "s"), ("a", "b")})
 
 
 def test_solver_disconnected_is_none():
     g = _graph({("s", "a"): 1}, extra_nodes=["x"])
     solver = SteinerSolver(g)
-    assert solver.cost({"s", "x"}) is None
-    assert solver.tree({"s", "x"}) is None
+    assert solver.cost_table("s", ("a", "x")) == [0, 1, None, None]
+    with pytest.raises(ValidationError, match="infeasible"):
+        solver.tree_for_mask("s", ("a", "x"), 0b10)
 
 
 def test_fractional_costs_stay_exact():
-    g = _graph({("s", "a"): Fraction(1, 3), ("a", "b"): Fraction(1, 6)})
-    assert SteinerSolver(g).cost({"s", "b"}) == Fraction(1, 2)
+    """The table holds ints on the solver's scale; the connection cost
+    comes out as the exact Fraction."""
+    costs = {("s", "a"): Fraction(1, 3), ("a", "b"): Fraction(1, 6)}
+    solver = SteinerSolver(_graph(costs))
+    assert solver.scale == 6
+    assert solver.cost_table("s", ("b",)) == [0, 3]
+    profile = truthful_profile(Instance("s", ["a", "b"], costs, {"a": 1, "b": 1}))
+    assert connection_cost(profile, {"b"}) == Fraction(1, 2)
+    assert type(connection_cost(profile, {"b"})) is Fraction
+    assert connection_cost(profile, {"a", "b"}) == Fraction(1, 2)
 
 
 def test_cost_table_indexes_subsets():
@@ -107,8 +114,13 @@ def test_solver_vs_oracle_on_seeded_graphs():
         solver = SteinerSolver(g)
         for size in (1, 2, 3):
             for terms in combinations(nodes, size):
+                # The smallest label is the root; the rest index a table
+                # over every other node.
+                others = tuple(v for v in nodes if v != terms[0])
+                table = solver.cost_table(terms[0], others)
+                got = table[sum(1 << others.index(t) for t in terms[1:])]
                 want = _oracle(g, frozenset(terms))
-                assert solver.cost(frozenset(terms)) == want, (seed, terms)
+                assert got == want * solver.scale, (seed, terms)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -120,16 +132,19 @@ def test_witness_tree_prices_its_own_cost(seed):
                              seed=seed)
     g = inst.graph
     nodes = sorted(g.nodes)
-    terms = frozenset({nodes[0], nodes[-1], nodes[len(nodes) // 2]})
-    res = SteinerSolver(g).tree(terms)
-    if res is None:
+    root, rest = nodes[0], (nodes[len(nodes) // 2], nodes[-1])
+    terms = frozenset({root, *rest})
+    solver = SteinerSolver(g)
+    cost = solver.cost_table(root, rest)[0b11]
+    if cost is None:
         return
-    assert g.total_cost(res.tree_edges) == res.cost
+    tree = solver.tree_for_mask(root, rest, 0b11)
+    assert g.total_cost(tree) * solver.scale == cost
     # the edges form a connected subgraph containing every terminal
     reach = {next(iter(terms))}
     frontier = [next(iter(terms))]
     adj: dict[str, set[str]] = {}
-    for u, v in res.tree_edges:
+    for u, v in tree:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     while frontier:
@@ -151,24 +166,19 @@ def test_cost_is_monotone_and_subadditive(seed):
     solver = SteinerSolver(inst.graph)
     nodes = sorted(inst.graph.nodes)
     a, b, c = nodes[0], nodes[1], nodes[2]
-    small = solver.cost({a, b})
-    grown = solver.cost({a, b, c})
+    table = solver.cost_table(a, (b, c))
+    small = table[0b01]  # {a, b}
+    grown = table[0b11]  # {a, b, c}
     assert small is not None and grown is not None
     assert small <= grown
     # joining two terminal sets that share a node never costs more than
     # building both separately
-    left = solver.cost({a, b})
-    right = solver.cost({a, c})
-    joint = solver.cost({a, b, c})
+    left, right, joint = table[0b01], table[0b10], table[0b11]
     assert joint <= left + right
 
 
-def test_steiner_cost_convenience_and_cache():
+def test_cache_reuses_one_solver_per_graph_content():
     cache = SteinerCache()
-    res = steiner_cost(TRIANGLE, {"s", "a", "b"}, cache)
-    assert res.cost == 5
-    assert res.tree_edges == frozenset({("a", "s"), ("a", "b")})
-    # same fingerprint reuses the solver
     assert cache.solver(TRIANGLE) is cache.solver(_graph(
         {("s", "a"): 2, ("s", "b"): 4, ("a", "b"): 3}))
 
@@ -208,18 +218,19 @@ def test_size_caps():
         brute_force_steiner_oracle(g13, frozenset({"s"}))
     tall = _graph({("s", f"a{i:02d}"): 1 for i in range(13)})
     with pytest.raises(SizeCapError, match="terminals"):
-        SteinerSolver(tall).cost({f"a{i:02d}" for i in range(13)} | {"s"})
+        SteinerSolver(tall).cost_table("s", tuple(f"a{i:02d}" for i in range(13)))
 
 
 def test_unknown_terminal_is_rejected():
     with pytest.raises(ValidationError, match="not a node"):
-        SteinerSolver(LINE).cost({"s", "zz"})
+        SteinerSolver(LINE).cost_table("s", ("zz",))
 
 
 def test_solver_vs_oracle_on_mixed_denominator_costs():
     """Costs with pairwise different denominators make the solver scale by
-    their lcm; every cost table entry and witness must still match the
-    oracle exactly."""
+    their lcm. Every cost table entry is an int on that scale, and it and
+    every witness must still match the oracle exactly; the connection cost
+    comes out as an exact value of the oracle's type."""
     import random
     from itertools import combinations
 
@@ -228,22 +239,32 @@ def test_solver_vs_oracle_on_mixed_denominator_costs():
         rng = random.Random(seed)
         inst = generate_instance(agents=4 + seed % 3, edge_probability=0.5,
                                  max_cost=9, seed=seed)
-        g = WeightedGraph(inst.graph.nodes,
-                          {e: Fraction(c, rng.choice(dens))
-                           for e, c in inst.graph.edges().items()})
+        inst = Instance(inst.source, sorted(inst.agents),
+                        {e: Fraction(c, rng.choice(dens))
+                         for e, c in inst.graph.edges().items()},
+                        inst.valuations)
+        g = inst.graph
         solver = SteinerSolver(g)
         nodes = sorted(g.nodes)
         root, rest = nodes[0], tuple(nodes[1:])
         table = solver.cost_table(root, rest)
+        assert all(c is None or type(c) is int for c in table)
         for mask in range(1, 1 << len(rest)):
             terms = frozenset({root} | {rest[b] for b in range(len(rest)) if mask >> b & 1})
             want = _oracle(g, terms)
-            assert table[mask] == want, (seed, sorted(terms))
-            assert type(table[mask]) is (int if want.denominator == 1 else Fraction)
+            assert table[mask] == want * solver.scale, (seed, sorted(terms))
             tree = solver.tree_for_mask(root, rest, mask)
             assert g.total_cost(tree) == want
-        for terms in combinations(nodes, 2):
-            assert solver.cost(frozenset(terms)) == _oracle(g, frozenset(terms))
+        for u, v in combinations(nodes, 2):
+            assert solver.cost_table(u, (v,))[1] == _oracle(g, {u, v}) * solver.scale
+        profile, cache = truthful_profile(inst), SteinerCache()
+        agents = inst.agent_order()
+        for mask in range(1 << len(agents)):
+            S = {a for b, a in enumerate(agents) if mask >> b & 1}
+            want = _oracle(g, S | {inst.source})
+            got = connection_cost(profile, S, cache)
+            assert got == want, (seed, sorted(S))
+            assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_cost_table_is_memoized_per_query():
@@ -287,8 +308,8 @@ def test_induced_memo_keys_on_the_instance_not_its_labels():
     # the key lists declarations in sorted agent order, not report order
     reordered = ReportProfile(cheap, dict(reversed(truthful_profile(cheap).reports.items())))
     assert cache.induced(reordered) is g_cheap
-    assert cache.solver(g_cheap).cost({"s", "a", "b"}) == 3
-    assert cache.solver(g_dear).cost({"s", "a", "b"}) == 7
+    assert cache.solver(g_cheap).cost_table("s", ("a", "b"))[0b11] == 3
+    assert cache.solver(g_dear).cost_table("s", ("a", "b"))[0b11] == 7
 
 
 def test_identity_contraction_keeps_the_callers_origins():

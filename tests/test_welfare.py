@@ -13,7 +13,7 @@ from costshare import (Instance, SizeCapError, ValidationError,
                        generate_instance, social_welfare, truthful_profile)
 from costshare.model import induced_graph
 from costshare.steiner import brute_force_steiner_oracle
-from costshare.welfare import WELFARE_CAP, compute_delta_table, delta
+from costshare.welfare import WELFARE_CAP, compute_delta_table
 from costshare.fixtures import fig_line, fig_service_tree, fig_triangle, fig_zero_bridge
 
 
@@ -69,15 +69,11 @@ def test_triangle_table_frozen():
     assert table.sw_delta_of({"a"}) == 1
     assert table.sw_delta_of({"b"}) == 0
     assert table.sw_delta_of({"a", "b"}) == 1
-    assert list(table.raw_sw) == [0, 1, -1, 1]
-    assert list(table.costs) == [0, 2, 4, 5]
-    assert list(table.value_sums) == [0, 3, 3, 6]
-
-
-def test_delta_helper_reads_table():
-    table = compute_delta_table(truthful_profile(fig_triangle()))
-    assert delta(table, frozenset({"b"})) == frozenset()
-    assert delta(table, frozenset({"a", "b"})) == frozenset({"a", "b"})
+    assert table.scale == 1
+    assert list(table.scaled_costs) == [0, 2, 4, 5]
+    assert list(table.scaled_value_sums) == [0, 3, 3, 6]
+    prof = truthful_profile(fig_triangle())
+    assert [social_welfare(prof, table.set_of(m)) for m in range(4)] == [0, 1, -1, 1]
 
 
 def test_tie_keeps_the_set_itself():
@@ -136,7 +132,7 @@ def test_table_matches_reference_recursion(seed):
     for mask in range(1 << len(agents)):
         S = frozenset(a for b, a in enumerate(agents) if mask >> b & 1)
         want_w, want_set = rec(S)
-        assert table.sw_delta[mask] == want_w, (seed, sorted(S))
+        assert table.sw_delta_of(S) == want_w, (seed, sorted(S))
         assert table.set_of(table.delta_masks[mask]) == want_set, (seed, sorted(S))
 
 

@@ -57,7 +57,10 @@ def parse_number(x, what: str):
                 raise ValidationError(
                     f"exponent of {x!r} for {what} is out of range "
                     f"(at most {MAX_EXPONENT} in size)")
-    v = as_value(x)
+    try:
+        v = as_value(x)
+    except ValidationError as exc:
+        raise ValidationError(f"malformed number for {what}: {x!r}") from exc
     if abs(v.numerator) >= _NUMBER_LIMIT or v.denominator >= _NUMBER_LIMIT:
         raise ValidationError(
             f"number for {what} is too large: numerator and denominator may "

@@ -200,12 +200,12 @@ def test_demo_content_spot_checks(capsys):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--property", "symmetry", "--step", "x"], "malformed number: 'x'"),
-    (["--property", "bbr", "--step", "x"], "malformed number: 'x'"),
+    (["--property", "symmetry", "--step", "x"], "malformed number for --step: 'x'"),
+    (["--property", "bbr", "--step", "x"], "malformed number for --step: 'x'"),
     (["--property", "symmetry", "--step", "0"], "grid step must be positive"),
     (["--property", "feasibility", "--step=-1/2"], "grid step must be positive"),
     (["--property", "truthfulness", "--count", "0", "--step", "x"],
-     "malformed number: 'x'"),
+     "malformed number for --step: 'x'"),
     (["--property", "budget-balance", "--count", "-1"], "--count must be nonnegative"),
     (["--property", "symmetry", "--count", "-1"], "--count must be nonnegative"),
     (["--property", "individual-rationality", "--ir-samples", "-1"],

@@ -134,8 +134,8 @@ def test_relay_recharge_lie_double_buys_an_edge():
 
 
 def test_relay_recharge_lie_is_self_harming():
-    """The double buy only opens off the truthful profile: b's lie raises
-    b's own payment from 1 to 3."""
+    """On this instance the double buy only opens off the truthful profile:
+    b's lie raises b's own payment from 1 to 3."""
     inst = fig_relay_recharge()
     agent, rep = relay_recharge_deviation()
     truthful = run_rsm(inst)
@@ -144,6 +144,22 @@ def test_relay_recharge_lie_is_self_harming():
     assert lied.utilities[agent] == 3
     # integer grid covers the firing report (valuation 3, edges {(a,b)})
     assert check_truthfulness(inst, "rsm", step=1).holds
+
+
+def test_a_truthful_profile_can_over_collect():
+    """Today's documented violation, pinned until the rule is settled: at
+    the truthful profile, stage 1 prices c out without merging it, stage 2
+    routes through c and stage 3 buys (c,d) a second time. The shares
+    collect 14 against a union tree of 13."""
+    inst = generate_instance(5, 0.3, seed=17)
+    trace = run_rsm(inst).stage_trace
+    assert [(sorted(r.selected), r.share) for r in trace] == [
+        (["a"], 2), (["d", "e"], 3), (["b"], 6)]
+    assert trace[0].excluded == frozenset({"c"})
+    assert ("c", "d") in trace[1].tree_edges and ("c", "d") in trace[2].tree_edges
+    report = check_budget_balance(inst, "rsm")
+    assert not report.holds
+    assert (report.witness["collected"], report.witness["tree_cost"]) == (14, 13)
 
 
 @given(seed=st.integers(min_value=0, max_value=3_000))

@@ -177,16 +177,3 @@ def fig_welfare_gap(p) -> Instance:
     agent's surplus by exactly p."""
     p = Fraction(p)
     return fig_line(m=2, n=3, v_a=4, v_b=3 + (int(p) if p.denominator == 1 else p))
-
-
-FIXTURES = {
-    "bird-square": fig_bird_square,
-    "triangle": fig_triangle,
-    "line": fig_line,
-    "zero-bridge": fig_zero_bridge,
-    "service-tree": fig_service_tree,
-    "staged-network": fig_staged_network,
-    "steiner-detour": fig_steiner_detour,
-    "corpus-inefficiency": corpus_inefficiency,
-    "relay-recharge": fig_relay_recharge,
-}

@@ -151,20 +151,6 @@ class WeightedGraph:
                     stack.append(w)
         return len(seen) == len(self.nodes)
 
-    def component_of(self, v: str) -> frozenset[str]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
-
-    @property
-    def fingerprint(self):
-        return self._fingerprint
-
     def __eq__(self, other):
         return isinstance(other, WeightedGraph) and self._fingerprint == other._fingerprint
 

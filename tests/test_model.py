@@ -57,7 +57,6 @@ def test_weighted_graph_basics():
     assert g.adjacent("a") == {"s": 2, "b": Fraction(1, 2)}
     assert g.total_cost([("a", "s")]) == 2
     assert g.is_connected()
-    assert g.component_of("s") == frozenset({"s", "a", "b"})
 
 
 def test_weighted_graph_equality_is_structural():

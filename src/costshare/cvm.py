@@ -49,8 +49,7 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
     """Run the mechanism on a report profile (truthful by default).
 
     Prices come off the welfare table's scaled ints; each share is turned
-    into an exact value once. The selection's cost is a memo hit on the
-    cost table the welfare table was built from.
+    into an exact value once. The selection's cost is a memo hit.
     """
     profile = run_profile(instance, profile)
     cache = cache or SteinerCache()

@@ -150,11 +150,10 @@ def fig_relay_recharge() -> Instance:
     (a,b) plus the already built (a,d). That stage pays for (a,d) again:
     shares total 6 while the union of the stage trees costs 5. The lie is
     self-harming (b's utility drops from 5 to 3), so here the gap opens only
-    off the truthful profile. That is not true in general: 6 of 6,000
-    generated truthful profiles over-collect the same way, e.g.
-    ``generate_instance(5, 0.3, seed=17)`` (14 against 13). The staged
-    charges are balanced against the sum of stage costs, not against the
-    deduplicated tree.
+    off the truthful profile, but 6 of 6,000 generated truthful profiles
+    over-collect too (``generate_instance(5, 0.3, seed=17)``: 14 against
+    13). The staged charges are balanced against the sum of stage costs,
+    not against the deduplicated tree.
     """
     return Instance(
         source="s",

@@ -15,10 +15,9 @@ budget balance. The two totals can drift apart in one rare corner: a stage
 tree may pass through a priced-out node for free, and because that node was
 never merged into the source, a later stage needing the same corridor pays
 for one of its edges a second time. The union tree then costs less than the
-payments collected. That happens at truthful profiles too: 6 of 6,000
-generated ones (2-6 agents, edge probability 0.3, 0.45 or 0.6, seeds
-0-399), e.g. ``generate_instance(5, 0.3, seed=17)`` collects 14 against 13.
-See the relay recharge fixture for a worked example.
+payments collected, at 6 of 6,000 generated truthful profiles (e.g.
+``generate_instance(5, 0.3, seed=17)``: 14 against 13; README gives the
+scan) and after some lies (see the relay recharge fixture).
 
 Ties on the minimal share prefer the larger set, then the lexicographically
 smallest sorted label list. A stage scans on ints: its cost table and the

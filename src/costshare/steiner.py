@@ -10,13 +10,11 @@ than a sentinel cost.
 
 Everything here is a plain int: edge costs are scaled once by the lcm of
 their denominators, ``solver.scale``, and an int sentinel above every real
-cost stands for "no path". ``cost_table`` hands out those scaled ints, with
-None for an infeasible subset, and memoizes its tables per query.
-``scaled_to_ints`` lifts such a table and a list of valuations to one common
-int scale, for callers that do their own arithmetic on both. Callers unscale
-only their results; ``welfare.connection_cost`` is the one place a table
-entry itself becomes an exact int or Fraction, and ``tree_for_mask``
-unscales one only to check its witness's cost.
+cost stands for "no path". ``cost_table`` hands out those scaled ints (None
+for an infeasible subset), memoized per query; ``scaled_to_ints`` lifts one
+and a list of valuations to a common int scale. A table entry becomes an
+exact value only in ``welfare.connection_cost`` and in ``tree_for_mask``'s
+check of its witness's cost; other callers unscale only their results.
 
 A run stores only the dp values. Witness trees are reconstructed by
 re-deriving, for each mask on the backtracking path, the merge and grow

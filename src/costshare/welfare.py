@@ -79,16 +79,14 @@ class WelfareTable:
 
 def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None):
     """Cheapest cost of connecting the agent set S to the source on the
-    induced graph, as an exact int or Fraction; None when S cannot be
-    connected. This is the one place an entry of a solver's scaled cost
-    table is unscaled.
+    induced graph, exact; None when S cannot be connected. The one place a
+    cost-table entry is unscaled.
 
-    Every query reads the table over all agents. After a welfare table or
-    an RSM run on the same cache that is a memo hit, but a one-off query on
-    a cold cache pays one full DP over every agent, however small S is.
-    For a two-agent set of ``generate_instance(12, 0.4, seed=3)`` that took
-    0.40-0.54 s (2 vCPUs, CPython 3.11.7), where a DP over S alone takes
-    under 1 ms.
+    Every query reads the table over all agents: a memo hit after a welfare
+    table or an RSM run on the same cache, but one full DP on a cold cache,
+    however small S is. For two agents of ``generate_instance(12, 0.4,
+    seed=3)`` that took 0.40-0.54 s (2 vCPUs, CPython 3.11.7); a DP over S
+    alone takes under 1 ms.
     """
     inst = profile.instance
     S = frozenset(S)

@@ -19,7 +19,7 @@ from .allocation import Allocation
 from .model import (Instance, ReportProfile, ValidationError, Value, run_profile,
                     unscale)
 from .steiner import SteinerCache
-from .welfare import WelfareTable, compute_delta_table, connection_cost
+from .welfare import WelfareTable, compute_delta_table
 
 
 def _scaled_critical_value(table: WelfareTable, g_mask: int, bit: int) -> int:
@@ -49,7 +49,7 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
     """Run the mechanism on a report profile (truthful by default).
 
     Prices come off the welfare table's scaled ints; each share is turned
-    into an exact value once. The selection's cost is a memo hit.
+    into an exact value once. The selection's cost is the table's entry.
     """
     profile = run_profile(instance, profile)
     cache = cache or SteinerCache()
@@ -62,5 +62,5 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
         solver = cache.solver(cache.induced(profile))
         return solver.tree_for_mask(instance.source, table.agents, g_mask)
 
-    return Allocation("cvm", profile, shares, connection_cost(profile, shares, cache),
-                      tree=tree)
+    return Allocation("cvm", profile, shares,
+                      unscale(table.scaled_costs[g_mask], table.scale), tree=tree)

@@ -8,13 +8,14 @@ cheap. Non-terminal nodes may appear in a tree (Steiner points); an
 unreachable terminal makes the query infeasible, reported as None rather
 than a sentinel cost.
 
-Everything here is a plain int: edge costs are scaled once by the lcm of
-their denominators, ``solver.scale``, and an int sentinel above every real
+Inside a solver everything is a plain int: edge costs are scaled once by
+the lcm of their denominators, ``solver.scale``, and an int sentinel above every real
 cost stands for "no path". ``cost_table`` hands out those scaled ints (None
 for an infeasible subset), memoized per query; ``scaled_to_ints`` lifts one
 and a list of valuations to a common int scale. A table entry becomes an
 exact value only in ``welfare.connection_cost`` and in ``tree_for_mask``'s
-check of its witness's cost; other callers unscale only their results.
+check of its witness's cost; callers that lift a table unscale only what
+they compute from the lifted copy.
 
 A run stores only the dp values. Witness trees are reconstructed by
 re-deriving, for each mask on the backtracking path, the merge and grow

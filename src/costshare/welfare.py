@@ -19,9 +19,9 @@ The recurrence runs on ints. The solver's cost table is already scaled
 ints; ``scaled_to_ints`` lifts it and the reported valuations to one common
 factor (the lcm of their denominators), and a table keeps those ints with
 the factor. Values become exact ints or Fractions only where they leave:
-``connection_cost`` is the one place a cost-table entry is unscaled,
-``WelfareTable.sw_delta_of`` unscales one welfare, and the mechanisms
-unscale their own prices.
+``connection_cost`` is the one place an entry of the solver's table is
+unscaled, while ``WelfareTable.sw_delta_of`` and the mechanisms unscale
+what they read or compute from a welfare table.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class WelfareTable:
 
 def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None):
     """Cheapest cost of connecting the agent set S to the source on the
-    induced graph, exact; None when S cannot be connected. The one place a
-    cost-table entry is unscaled.
+    induced graph, exact; None when S cannot be connected. The one place an
+    entry of a solver's cost table is unscaled.
 
     Every query reads the table over all agents: a memo hit after a welfare
     table or an RSM run on the same cache, but one full DP on a cold cache,

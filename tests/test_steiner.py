@@ -177,8 +177,12 @@ def test_cost_is_monotone_and_subadditive(seed):
     assert joint <= left + right
 
 
-def test_cache_reuses_one_solver_per_graph_content():
+def test_steiner_cost_convenience_and_cache():
     cache = SteinerCache()
+    solver = cache.solver(TRIANGLE)
+    assert solver.cost_table("s", ("a", "b"))[0b11] == 5
+    assert solver.tree_for_mask("s", ("a", "b"), 0b11) == frozenset({("a", "s"), ("a", "b")})
+    # same fingerprint reuses the solver
     assert cache.solver(TRIANGLE) is cache.solver(_graph(
         {("s", "a"): 2, ("s", "b"): 4, ("a", "b"): 3}))
 

@@ -76,6 +76,12 @@ def test_triangle_table_frozen():
     assert [social_welfare(prof, table.set_of(m)) for m in range(4)] == [0, 1, -1, 1]
 
 
+def test_delta_helper_reads_table():
+    table = compute_delta_table(truthful_profile(fig_triangle()))
+    assert table.delta_of(frozenset({"b"})) == frozenset()
+    assert table.delta_of(frozenset({"a", "b"})) == frozenset({"a", "b"})
+
+
 def test_tie_keeps_the_set_itself():
     # zero bridge: serving {a} nets exactly 0, the same as serving nobody
     table = compute_delta_table(truthful_profile(fig_zero_bridge(5)))

@@ -242,12 +242,8 @@ class ReportProfile:
         reports = dict(self.reports)
         if reports.keys() != self.instance.agents:
             raise ValidationError("profile must cover exactly the agent set")
-        true_edges = self.instance.true_edges_of
         for i, rep in reports.items():
-            if not rep.edges <= true_edges(i):
-                extra = rep.edges - true_edges(i)
-                raise ValidationError(
-                    f"agent {i!r} declares edges it does not have: {sorted(extra)}")
+            _check_declaration(self.instance, i, rep)
         object.__setattr__(self, "reports", reports)
 
     def valuation(self, i: str) -> Value:
@@ -260,6 +256,12 @@ class ReportProfile:
         inst = self.instance
         return all(r.edges == inst.true_edges_of(i) and r.valuation == inst.valuations[i]
                    for i, r in self.reports.items())
+
+
+def _check_declaration(instance: Instance, i: str, report: AgentReport) -> None:
+    if not report.edges <= instance.true_edges_of(i):
+        extra = report.edges - instance.true_edges_of(i)
+        raise ValidationError(f"agent {i!r} declares edges it does not have: {sorted(extra)}")
 
 
 def truthful_profile(instance: Instance) -> ReportProfile:
@@ -300,11 +302,17 @@ def induced_graph(profile: ReportProfile) -> WeightedGraph:
 def apply_deviation(profile: ReportProfile, i: str, report: AgentReport) -> ReportProfile:
     """A copy of the profile where agent i reports ``report`` instead.
 
-    Errors if the deviation declares an edge i does not truly have; profile
-    validation enforces that.
+    Errors if the deviation declares an edge i does not truly have. Only the
+    replaced report is checked: every other one comes from a profile that
+    was validated when it was built.
     """
-    if i not in profile.instance.agents:
+    inst = profile.instance
+    if i not in inst.agents:
         raise ValidationError(f"unknown agent {i!r}")
+    _check_declaration(inst, i, report)
     reports = dict(profile.reports)
     reports[i] = report
-    return ReportProfile(profile.instance, reports)
+    out = object.__new__(ReportProfile)
+    object.__setattr__(out, "instance", inst)
+    object.__setattr__(out, "reports", reports)
+    return out

@@ -30,8 +30,8 @@ SteinerCache, so runs that differ only in reported valuations share them.
 
 The welfare of the final selection uses its cheapest connection cost,
 not the union tree's. ``welfare.connection_cost`` reads it from stage 1's
-own cost table (the uncontracted graph over the whole pool), so it costs no
-DP run. Each stage tree is built once, when the trace or tree is first read.
+own cost table (the uncontracted graph over the whole pool), so it builds
+no table of its own. Each stage tree is built once, when the trace or tree is first read.
 """
 
 from __future__ import annotations

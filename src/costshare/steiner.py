@@ -1,23 +1,29 @@
 """Exact minimum Steiner trees on small weighted graphs.
 
-The solver runs the classic terminal-subset dynamic program over shortest
-path distances: dp[mask][v] is the cheapest tree spanning the terminals in
-``mask`` plus node v. One run with terminal list T answers the cost query
-for every subset of T at once, which is what makes whole welfare tables
-cheap. Non-terminal nodes may appear in a tree (Steiner points); an
-unreachable terminal makes the query infeasible, reported as None rather
-than a sentinel cost.
+Cost tables come from subset minimum spanning trees. A minimum Steiner tree
+is a minimum spanning tree of its own node set (Hakimi 1971), so for a root
+r the cheapest tree joining r to a node set S costs the least m[T] over the
+supersets T of S, where m[T] is the spanning-tree cost of the subgraph
+induced by T and r. A solver computes m for every set of non-root nodes,
+relays included, once per root, and one superset-min (zeta) transform over
+the node bits turns it into the cost of every set at once. A terminal
+list's table is a projection of that array, which is what makes whole
+welfare tables cheap. A subset whose nodes cannot reach the root is
+infeasible, reported as None rather than a sentinel cost.
 
 Inside a solver everything is a plain int: edge costs are scaled once by
 the lcm of their denominators, ``solver.scale``, and an int sentinel above every real
-cost stands for "no path". ``cost_table`` hands out those scaled ints (None
+cost stands for "no tree". ``cost_table`` hands out those scaled ints (None
 for an infeasible subset), memoized per query; ``scaled_to_ints`` lifts one
 and a list of valuations to a common int scale. A table entry becomes an
 exact value only in ``welfare.connection_cost`` and in ``tree_for_mask``'s
 check of its witness's cost; callers that lift a table unscale only what
 they compute from the lifted copy.
 
-A run stores only the dp values. Witness trees are reconstructed by
+Witness trees come from the Dreyfus-Wagner terminal-subset DP over
+shortest-path distances, run only over the terminals a witness selects:
+dp[mask][v] is the cheapest tree spanning the terminals in ``mask`` plus
+node v. A run stores only the dp values; the tree is reconstructed by
 re-deriving, for each mask on the backtracking path, the merge and grow
 choices from those values under a fixed scan order with a strict-< rule, so
 equal-cost ties resolve deterministically. A separate brute-force oracle
@@ -107,17 +113,16 @@ def _kruskal(nodes: Iterable[str], edges: list[tuple[Edge, Value]]):
 
 
 class SteinerSolver:
-    """Per-graph exact Steiner solver with memoized DP runs.
+    """Per-graph exact Steiner solver with memoized cost tables.
 
     Edge costs are scaled once to ints by the lcm of their denominators,
-    ``scale``; shortest paths, the DP and its cost tables stay on those
-    ints. A pair of nodes with no path between them is ``_inf`` apart: one
-    more than the sum of all costs, so any value at or above it marks an
-    infeasible subset.
+    ``scale``; cost tables, shortest paths and the witness DP stay on those
+    ints. ``_inf`` is one more than the sum of all costs, so any value at or
+    above it marks an infeasible subset.
 
-    A run is keyed by the terminal tuple; its dp table answers the cost of
-    connecting any terminal subset to any node, so callers that sweep
-    subsets should route every query through one terminal list.
+    The subset-MST table of a root answers the cost of connecting it to any
+    set of the other nodes, so one table serves every terminal list under
+    that root. Shortest paths are computed on the first witness only.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -136,19 +141,20 @@ class SteinerSolver:
         if scale != 1:
             costs = {e: int(c * scale) for e, c in costs.items()}
         self._inf = sum(costs.values()) + 1
-        self._dist, self._nxt = self._shortest_paths(costs)
+        self._edges = sorted((c, self._idx[u], self._idx[v]) for (u, v), c in costs.items())
+        self._dist = self._nxt = None
+        self._roots: dict[int, list[int]] = {}
         self._runs: dict[tuple[int, ...], list] = {}
         self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
 
-    def _shortest_paths(self, int_costs: dict[Edge, int]):
+    def _shortest_paths(self):
         n, inf = self._n, self._inf
         dist = [[inf] * n for _ in range(n)]
         nxt = [[None] * n for _ in range(n)]
         for i in range(n):
             dist[i][i] = 0
             nxt[i][i] = i
-        for (u, v), c in int_costs.items():
-            i, j = self._idx[u], self._idx[v]
+        for c, i, j in self._edges:
             dist[i][j] = dist[j][i] = c
             nxt[i][j] = j
             nxt[j][i] = i
@@ -187,20 +193,60 @@ class SteinerSolver:
             out.append(self._idx[t])
         return out
 
-    def _run(self, terms: tuple[int, ...]) -> list:
-        dp = self._runs.get(terms)
-        if dp is None:
-            dp = self._runs[terms] = self._dreyfus_wagner(terms)
-        return dp
+    def _subset_mst_table(self, root: int) -> list[int]:
+        """best[T] for every set T of non-root nodes: the cheapest tree
+        joining the root to T, ``_inf`` when no tree does. Node v is bit v
+        of T below the root and bit v - 1 above it.
+
+        First m[T] is the cost of a spanning tree of G[T + root] by Kruskal
+        over the edges sorted once, ``_inf`` when that subgraph is
+        disconnected. A minimum Steiner tree spans its own node set, so
+        best[T] is the least m over the supersets of T: one superset-min
+        (zeta) transform over the bits."""
+        n, inf = self._n, self._inf
+        k = n - 1
+        top = 1 << k
+        # The root takes bit k, so T | top is T with the root.
+        pos = [i - (i > root) for i in range(n)]
+        pos[root] = k
+        edges = [(c, pos[i], pos[j], 1 << pos[i] | 1 << pos[j]) for c, i, j in self._edges]
+        m = [inf] * top
+        m[0] = 0
+        for T in range(1, top):
+            nodes = T | top
+            parent = list(range(n))
+            left = T.bit_count()
+            total = 0
+            for c, u, v, bits in edges:
+                if bits & nodes != bits:
+                    continue
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u != v:
+                    parent[v] = u
+                    total += c
+                    left -= 1
+                    if not left:
+                        m[T] = total
+                        break
+        step = 1
+        while step < top:
+            for lo in range(0, top, step << 1):
+                hi = lo + step
+                m[lo:hi] = map(min, m[lo:hi], m[hi:hi + step])
+            step <<= 1
+        return m
 
     def _dreyfus_wagner(self, terms: tuple[int, ...]) -> list:
         """dp[mask][v] for every nonempty terminal mask; mask 0 is handled
         by callers (cost 0, empty tree). Only values are kept: merging
-        splits in any order gives the same minimum, and tree_for_mask
+        splits in any order gives the same minimum, and _collect_edges
         re-derives the choices of the few masks a witness needs."""
-        if len(terms) + 1 > MAX_TERMINALS:
-            raise SizeCapError(
-                f"{len(terms) + 1} terminals requested, cap is {MAX_TERMINALS}")
+        _check_terminal_count(len(terms))
+        if self._dist is None:
+            self._dist, self._nxt = self._shortest_paths()
         n, dist = self._n, self._dist
         nodes = range(n)
         size = 1 << len(terms)
@@ -245,9 +291,17 @@ class SteinerSolver:
         table = self._tables.get(key)
         if table is None:
             root = self._term_indices([root_label])[0]
-            dp = self._run(tuple(self._term_indices(terminal_labels)))
+            terms = self._term_indices(terminal_labels)
+            _check_terminal_count(len(terms))
+            best = self._roots.get(root)
+            if best is None:
+                best = self._roots[root] = self._subset_mst_table(root)
+            masks = [0]
+            for t in terms:
+                bit = 0 if t == root else 1 << (t - (t > root))
+                masks += [s | bit for s in masks]
             inf = self._inf
-            table = [0] + [row[root] if row[root] < inf else None for row in dp[1:]]
+            table = [c if c < inf else None for c in map(best.__getitem__, masks)]
             self._tables[key] = table
         return table
 
@@ -306,25 +360,38 @@ class SteinerSolver:
 
     def tree_for_mask(self, root_label: str, terminal_labels: tuple[str, ...],
                       mask: int) -> frozenset[Edge]:
-        """Witness tree for one subset out of a cost_table run. The subset
-        must be feasible."""
+        """Witness tree for one subset of a cost_table query. The subset
+        must be feasible.
+
+        The DP runs over the selected terminals alone, in list order.
+        Dropping the other bits keeps every dp value of a submask and the
+        order in which submasks are scanned, so the tree is the one a run
+        over the whole list would reconstruct."""
         root = self._term_indices([root_label])[0]
-        terms = tuple(self._term_indices(terminal_labels))
+        terms = self._term_indices(terminal_labels)
         if mask == 0:
             return frozenset()
-        dp = self._run(terms)
-        want = dp[mask][root]
+        chosen = tuple(t for b, t in enumerate(terms) if mask >> b & 1)
+        dp = self._runs.get(chosen)
+        if dp is None:
+            dp = self._runs[chosen] = self._dreyfus_wagner(chosen)
+        full = len(dp) - 1
+        want = dp[full][root]
         if want >= self._inf:
             raise ValidationError("no tree exists for an infeasible subset")
         acc: set[Edge] = set()
-        self._collect_edges(dp, terms, mask, root, acc)
-        keep = frozenset({root_label} | {terminal_labels[b]
-                                         for b in range(len(terms)) if mask >> b & 1})
+        self._collect_edges(dp, chosen, full, root, acc)
+        keep = frozenset({root_label} | {self._labels[t] for t in chosen})
         tree = self._canonical_tree(acc, keep)
         got, want = self.graph.total_cost(tree), unscale(want, self.scale)
         if got != want:
             raise AssertionError(f"witness cost {got} disagrees with dp value {want}")
         return tree
+
+
+def _check_terminal_count(count: int) -> None:
+    if count + 1 > MAX_TERMINALS:
+        raise SizeCapError(f"{count + 1} terminals requested, cap is {MAX_TERMINALS}")
 
 
 def scaled_to_ints(solver: SteinerSolver, table: list, values) -> tuple[int, list, list[int]]:

@@ -110,10 +110,11 @@ def test_staged_trace_builds_each_stage_tree_once(tree_calls):
 
 
 def test_welfare_ratio_of_selection_runs_one_dp(monkeypatch):
-    """The selection's welfare and the optimum read the same cost table."""
-    runs = []
-    original = SteinerSolver._dreyfus_wagner
-    monkeypatch.setattr(SteinerSolver, "_dreyfus_wagner",
-                        lambda self, terms: runs.append(terms) or original(self, terms))
+    """The selection's welfare and the optimum read the same cost table,
+    built from one subset-MST table under the source."""
+    roots = []
+    original = SteinerSolver._subset_mst_table
+    monkeypatch.setattr(SteinerSolver, "_subset_mst_table",
+                        lambda self, root: roots.append(root) or original(self, root))
     welfare_ratio_of_selection(fig_welfare_gap(10), {"a"}, SteinerCache())
-    assert len(runs) == 1
+    assert len(roots) == 1

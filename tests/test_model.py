@@ -132,6 +132,22 @@ def test_apply_deviation_replaces_one_report():
     assert prof.valuation("b") == 3
 
 
+def test_apply_deviation_checks_the_replaced_report():
+    """Only the new report is validated, and both of its errors still fire."""
+    inst = Instance("s", ["a", "b"],
+                    {("s", "a"): 2, ("a", "b"): 3}, {"a": 3, "b": 3})
+    prof = truthful_profile(inst)
+    with pytest.raises(ValidationError, match="unknown agent 'x'"):
+        apply_deviation(prof, "x", AgentReport(frozenset(), 1))
+    with pytest.raises(ValidationError, match="'b' declares edges it does not have"):
+        apply_deviation(prof, "b", AgentReport(frozenset({("b", "s")}), 1))
+    dev = apply_deviation(prof, "a", AgentReport(frozenset({("a", "s")}), 1))
+    assert type(dev) is ReportProfile and dev.instance is inst
+    assert dev.reports == {"a": AgentReport(frozenset({("a", "s")}), 1),
+                           "b": prof.reports["b"]}
+    assert apply_deviation(dev, "b", AgentReport(frozenset(), 0)).valuation("a") == 1
+
+
 @given(st.integers(min_value=0, max_value=500))
 def test_truthful_induced_graph_is_true_graph(seed):
     """With everyone truthful, mutual declaration reconstructs the instance

@@ -2,9 +2,11 @@
 
 The brute-force oracle (minimum spanning trees of every induced node
 subset) is the ground truth here: it is checked first on hand-sized graphs
-where the answer is obvious, and the dynamic program is then held to it on
-seeded random graphs. The acceptance module repeats that comparison at a
-larger scale.
+where the answer is obvious, and the solver is then held to it on seeded
+random graphs. The acceptance module repeats that comparison at a larger
+scale. The solver's tables rest on the same identity as the oracle, so they
+are also diffed against the Dreyfus-Wagner dynamic program, which builds
+the witness trees.
 """
 
 from fractions import Fraction
@@ -340,3 +342,84 @@ def test_contraction_memo_tells_apart_graphs_with_different_origins():
     h2 = cache.contracted(g2, {"s", "c"}, "s")
     assert h1.origin_of(("b", "s")) == ("a", "b")
     assert h2.origin_of(("b", "s")) == ("b", "s")
+
+
+def _dw_table(solver, root, terms):
+    """The cost table a Dreyfus-Wagner run over the whole terminal list
+    gives: each mask's dp value at the root."""
+    dp = solver._dreyfus_wagner(tuple(solver._idx[t] for t in terms))
+    r = solver._idx[root]
+    return [0] + [row[r] if row[r] < solver._inf else None for row in dp[1:]]
+
+
+def test_subset_mst_table_matches_the_dreyfus_wagner_table():
+    """The table from subset spanning trees and a superset-min transform
+    equals the terminal-subset DP's on seeded graphs with relays (terminal
+    lists that leave nodes out, in shuffled order), mixed denominators,
+    zero-cost edges, hidden edges that disconnect subsets, and the
+    contracted stage graphs of RSM runs."""
+    import random
+
+    from costshare import ReportProfile, AgentReport, run_rsm
+
+    seen = {"relay": 0, "scaled": 0, "zero": 0, "infeasible": 0, "contracted": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        base = generate_instance(agents=4 + seed % 5, edge_probability=0.5,
+                                 max_cost=6, seed=seed)
+        inst = Instance(base.source, sorted(base.agents),
+                        {e: Fraction(c, rng.choice((1, 1, 2, 3, 4, 6)))
+                         for e, c in base.graph.edges().items()},
+                        base.valuations)
+        profile = ReportProfile(inst, {
+            a: AgentReport(frozenset(e for e in sorted(inst.true_edges_of(a))
+                                     if rng.random() < 0.8), inst.valuations[a])
+            for a in inst.agent_order()})
+        cache = SteinerCache()
+        graph = cache.induced(profile)
+        graphs = [graph]
+        merged = {inst.source}
+        for record in run_rsm(inst, profile, cache).stage_trace:
+            merged |= record.selected
+            graphs.append(cache.contracted(graph, merged, inst.source))
+        for g in graphs:
+            seen["contracted"] += bool(g.origins)
+            seen["zero"] += 0 in g.edges().values()
+            solver = SteinerSolver(g)
+            seen["scaled"] += solver.scale > 1
+            nodes = sorted(g.nodes)
+            if len(nodes) < 2:
+                continue
+            for root in dict.fromkeys((inst.source, rng.choice(nodes))):
+                others = [v for v in nodes if v != root]
+                picked = rng.sample(others, rng.randint(1, len(others)))
+                for terms in (tuple(others), tuple(picked)):
+                    table = solver.cost_table(root, terms)
+                    assert table == _dw_table(solver, root, terms), (seed, root, terms)
+                    seen["relay"] += len(terms) < len(others)
+                    seen["infeasible"] += None in table
+    assert min(seen.values()) >= 50, seen
+
+
+def test_witness_over_selected_terminals_matches_the_full_run():
+    """tree_for_mask runs the DP over the selected terminals only; its tree
+    is the one the whole terminal list's run reconstructs, on 330 seeded
+    cvm selections at 4, 6 and 8 agents."""
+    from costshare import run_cvm
+
+    compared = 0
+    for agents in (4, 6, 8):
+        for seed in range(110):
+            inst = generate_instance(agents=agents, edge_probability=0.5, seed=seed)
+            order = inst.agent_order()
+            selected = run_cvm(inst).selected
+            mask = sum(1 << b for b, a in enumerate(order) if a in selected)
+            solver = SteinerSolver(inst.graph)
+            terms = tuple(solver._idx[a] for a in order)
+            acc = set()
+            solver._collect_edges(solver._dreyfus_wagner(terms), terms, mask,
+                                  solver._idx[inst.source], acc)
+            full_run = solver._canonical_tree(acc, frozenset(selected | {inst.source}))
+            assert solver.tree_for_mask(inst.source, order, mask) == full_run, (agents, seed)
+            compared += bool(mask)
+    assert compared >= 300

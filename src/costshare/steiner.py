@@ -20,15 +20,28 @@ exact value only in ``welfare.connection_cost`` and in ``tree_for_mask``'s
 check of its witness's cost; callers that lift a table unscale only what
 they compute from the lifted copy.
 
-Witness trees come from the Dreyfus-Wagner terminal-subset DP over
-shortest-path distances, run only over the terminals a witness selects:
-dp[mask][v] is the cheapest tree spanning the terminals in ``mask`` plus
-node v. A run stores only the dp values; the tree is reconstructed by
-re-deriving, for each mask on the backtracking path, the merge and grow
-choices from those values under a fixed scan order with a strict-< rule, so
-equal-cost ties resolve deterministically. A separate brute-force oracle
-(every node superset, cheapest spanning tree) exists only to cross-check the
-solver and shares none of its code path.
+Witness trees are reconstructed from the values of the Dreyfus-Wagner
+terminal-subset DP over shortest-path distances, taken over only the
+terminals a witness selects: dp[mask][v] is the cheapest tree spanning the
+terminals in ``mask`` plus node v. The reconstruction re-derives, for each
+mask on the backtracking path, the merge and grow choices from those values
+under a fixed scan order with a strict-< rule, so equal-cost ties resolve
+deterministically. The values come from one of two sources:
+
+- a Dreyfus-Wagner run, about 3^k * n steps for k selected terminals on n
+  nodes, for small selections;
+- node-set costs, for large ones. dp[mask][v] is the cost of the cheapest
+  tree spanning the node set terms(mask) + v. For a set holding the root
+  that is the root's table entry; for one without it, the cheaper of that
+  entry and a second superset-min transform over the spanning-tree costs of
+  the root-free node sets, about 2^(n-1) * E steps for E edges whatever k
+  is. Rows are built as the reconstruction reads them.
+
+``_node_sets_pay`` compares the two step counts with one measured constant.
+The sources agree on every value below the sentinel, and the reconstruction
+follows only those, so both build the same tree. A separate brute-force
+oracle (every node superset, cheapest spanning tree) exists only to
+cross-check the solver and shares none of its code path.
 
 Solvers are pure after construction; a SteinerCache may be shared freely
 within a thread. The cache matches graphs by content (nodes and costs), not
@@ -122,7 +135,9 @@ class SteinerSolver:
 
     The subset-MST table of a root answers the cost of connecting it to any
     set of the other nodes, so one table serves every terminal list under
-    that root. Shortest paths are computed on the first witness only.
+    that root. The same table plus a root-free half gives the cost of
+    every node set, which large witnesses read instead of running the DP.
+    Shortest paths are computed on the first witness only.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -143,7 +158,7 @@ class SteinerSolver:
         self._inf = sum(costs.values()) + 1
         self._edges = sorted((c, self._idx[u], self._idx[v]) for (u, v), c in costs.items())
         self._dist = self._nxt = None
-        self._roots: dict[int, list[int]] = {}
+        self._roots: dict[int, list[int]] = {}  # see _node_set_costs
         self._runs: dict[tuple[int, ...], list] = {}
         self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
 
@@ -193,29 +208,33 @@ class SteinerSolver:
             out.append(self._idx[t])
         return out
 
-    def _subset_mst_table(self, root: int) -> list[int]:
-        """best[T] for every set T of non-root nodes: the cheapest tree
-        joining the root to T, ``_inf`` when no tree does. Node v is bit v
-        of T below the root and bit v - 1 above it.
+    def _positions(self, root: int) -> list[int]:
+        """Bit of each node in a node set under ``root``: node v takes bit v
+        below the root and bit v - 1 above it, and the root takes the top
+        bit, n - 1, so T | top is T with the root."""
+        pos = [i - (i > root) for i in range(self._n)]
+        pos[root] = self._n - 1
+        return pos
 
-        First m[T] is the cost of a spanning tree of G[T + root] by Kruskal
-        over the edges sorted once, ``_inf`` when that subgraph is
-        disconnected. A minimum Steiner tree spans its own node set, so
-        best[T] is the least m over the supersets of T: one superset-min
-        (zeta) transform over the bits."""
+    def _root_edges(self, root: int) -> list[tuple[int, int, int, int]]:
+        """(cost, bit u, bit v, both bits) per edge in ascending order, in
+        the bits of ``_positions``."""
+        pos = self._positions(root)
+        return [(c, pos[i], pos[j], 1 << pos[i] | 1 << pos[j]) for c, i, j in self._edges]
+
+    def _spanning_costs(self, edges, top: int, fixed: int) -> list[int]:
+        """m[T] for every T below ``top``: the cost of a spanning tree of the
+        subgraph induced by the node bits T | fixed, by Kruskal over the
+        sorted edges, ``_inf`` when that subgraph is disconnected."""
         n, inf = self._n, self._inf
-        k = n - 1
-        top = 1 << k
-        # The root takes bit k, so T | top is T with the root.
-        pos = [i - (i > root) for i in range(n)]
-        pos[root] = k
-        edges = [(c, pos[i], pos[j], 1 << pos[i] | 1 << pos[j]) for c, i, j in self._edges]
         m = [inf] * top
-        m[0] = 0
-        for T in range(1, top):
-            nodes = T | top
+        for T in range(top):
+            nodes = T | fixed
+            left = nodes.bit_count() - 1
+            if left <= 0:
+                m[T] = 0
+                continue
             parent = list(range(n))
-            left = T.bit_count()
             total = 0
             for c, u, v, bits in edges:
                 if bits & nodes != bits:
@@ -231,6 +250,13 @@ class SteinerSolver:
                     if not left:
                         m[T] = total
                         break
+        return m
+
+    @staticmethod
+    def _superset_min(m: list[int]) -> list[int]:
+        """Replace each m[T] by the least m over the supersets of T, in
+        place: one pass per bit (the zeta transform over min)."""
+        top = len(m)
         step = 1
         while step < top:
             for lo in range(0, top, step << 1):
@@ -238,6 +264,54 @@ class SteinerSolver:
                 m[lo:hi] = map(min, m[lo:hi], m[hi:hi + step])
             step <<= 1
         return m
+
+    def _subset_mst_table(self, root: int) -> list[int]:
+        """best[T] for every set T of non-root nodes: the cheapest tree
+        joining the root to T, ``_inf`` when no tree does. Node bits are
+        those of ``_positions``, without the root's.
+
+        First m[T] is the cost of a spanning tree of G[T + root]. A minimum
+        Steiner tree spans its own node set, so best[T] is the least m over
+        the supersets of T: one superset-min (zeta) transform over the
+        bits."""
+        top = 1 << (self._n - 1)
+        return self._superset_min(self._spanning_costs(self._root_edges(root), top, top))
+
+    def _node_set_costs(self, root: int) -> list[int]:
+        """The root's table extended in place to the cost of the cheapest
+        tree spanning each node set, ``_inf`` when none does. A set with
+        the root sits at the index of its other nodes, where the table
+        already holds its cost; a set U without it sits at U | top, top
+        being the root's bit in ``_positions``. Indices below top, all
+        that ``cost_table`` reads, keep their values.
+
+        U is spanned either by a tree through the root, table[U], or by one
+        that avoids it, whose cost is a second superset-min transform over
+        the spanning-tree costs of the root-free node sets."""
+        best = self._roots.get(root)
+        if best is None:
+            best = self._roots[root] = self._subset_mst_table(root)
+        top = 1 << (self._n - 1)
+        if len(best) == top:
+            free = [e for e in self._root_edges(root) if not e[3] & top]
+            best += list(map(min, self._superset_min(self._spanning_costs(free, top, 0)), best))
+        return best
+
+    def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> "_NodeSetRows":
+        """The dp values of a Dreyfus-Wagner run over ``terms``, read from
+        node-set costs: dp[mask][v] spans the node set terms(mask) + v."""
+        _check_terminal_count(len(terms))
+        cost = self._node_set_costs(root)
+        pos = self._positions(root)
+        top = 1 << pos[root]
+        bits = [1 << b for b in pos]
+        bits[root] = 0
+        # sets[mask] is the index of terms(mask): the root clears the top
+        # bit, which marks a set without it.
+        sets = [top]
+        for t in terms:
+            sets += [s & ~top if t == root else s | bits[t] for s in sets]
+        return _NodeSetRows(cost, sets, bits, root)
 
     def _dreyfus_wagner(self, terms: tuple[int, ...]) -> list:
         """dp[mask][v] for every nonempty terminal mask; mask 0 is handled
@@ -363,18 +437,31 @@ class SteinerSolver:
         """Witness tree for one subset of a cost_table query. The subset
         must be feasible.
 
-        The DP runs over the selected terminals alone, in list order.
+        The dp values cover the selected terminals alone, in list order.
         Dropping the other bits keeps every dp value of a submask and the
         order in which submasks are scanned, so the tree is the one a run
-        over the whole list would reconstruct."""
+        over the whole list would reconstruct. ``_node_sets_pay`` picks
+        where the values come from: a Dreyfus-Wagner run, or node-set costs
+        built once per root. Both give the same values wherever they are
+        below ``_inf``, and the reconstruction follows only those, so both
+        give the same tree."""
         root = self._term_indices([root_label])[0]
         terms = self._term_indices(terminal_labels)
+        if not 0 <= mask < 1 << len(terms):
+            raise ValidationError(
+                f"mask {mask} does not select from {len(terms)} terminals")
         if mask == 0:
             return frozenset()
         chosen = tuple(t for b, t in enumerate(terms) if mask >> b & 1)
         dp = self._runs.get(chosen)
         if dp is None:
-            dp = self._runs[chosen] = self._dreyfus_wagner(chosen)
+            if _node_sets_pay(len(chosen), self._n, len(self._edges)):
+                dp = self._node_set_rows(root, chosen)
+            else:
+                dp = self._dreyfus_wagner(chosen)
+            self._runs[chosen] = dp
+        if self._dist is None:
+            self._dist, self._nxt = self._shortest_paths()
         full = len(dp) - 1
         want = dp[full][root]
         if want >= self._inf:
@@ -387,6 +474,41 @@ class SteinerSolver:
         if got != want:
             raise AssertionError(f"witness cost {got} disagrees with dp value {want}")
         return tree
+
+
+class _NodeSetRows:
+    """Dreyfus-Wagner dp rows read from node-set costs (see
+    ``SteinerSolver._node_set_costs``). Row ``mask`` is built when asked
+    for, so a witness touches only the rows its reconstruction scans."""
+
+    def __init__(self, cost: list[int], sets: list[int], bits: list[int], root: int):
+        self._cost, self._sets, self._bits, self._root = cost, sets, bits, root
+        self._low = len(cost) // 2 - 1
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __getitem__(self, mask: int) -> list[int]:
+        cost, base = self._cost, self._sets[mask]
+        row = [cost[base | b] for b in self._bits]
+        row[self._root] = cost[base & self._low]
+        return row
+
+
+# A Dreyfus-Wagner run over k terminals costs about 3^k * n steps (n nodes);
+# the root-free half of the node-set costs, with its transform, costs about
+# 2^(n-1) * E (E edges). Timed on CPython 3.11.7 on a 2.1 GHz Xeon vCPU over
+# graphs of 6 to 13 nodes and 9 to 49 edges, one step of the second took
+# 1.4 to 5.6 times one step of the first, 2.6 at the median. At n = 12 and
+# E = 33 that keeps k = 8 on the DP (a 5 ms run against 12 ms of node sets)
+# and moves k = 9 to node sets (a 16 ms run against the same 12 ms).
+NODE_SET_STEP = 2.6
+
+
+def _node_sets_pay(k: int, n: int, edges: int) -> bool:
+    """Whether a witness over k selected terminals of a graph with n nodes
+    and ``edges`` edges reads node-set costs rather than running the DP."""
+    return 3 ** k * n > NODE_SET_STEP * (1 << (n - 1)) * edges
 
 
 def _check_terminal_count(count: int) -> None:

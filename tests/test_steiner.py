@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from costshare import (Instance, SizeCapError, ValidationError,
                        generate_instance, truthful_profile)
+from costshare import steiner
+from costshare.fixtures import fig_line
 from costshare.model import WeightedGraph
 from costshare.steiner import (MAX_NODES, ORACLE_MAX_NODES, SteinerCache,
                                SteinerSolver, brute_force_steiner_oracle,
@@ -79,6 +81,17 @@ def test_solver_disconnected_is_none():
     assert solver.cost_table("s", ("a", "x")) == [0, 1, None, None]
     with pytest.raises(ValidationError, match="infeasible"):
         solver.tree_for_mask("s", ("a", "x"), 0b10)
+
+
+def test_tree_for_mask_rejects_masks_outside_its_terminals():
+    """A mask may select only from the terminal list it comes with: a bit
+    past its end is not silently dropped, and a negative mask is not read
+    as an infinite set."""
+    solver = SteinerSolver(fig_line().graph)
+    for mask in (0b100, 0b101, -1):
+        with pytest.raises(ValidationError, match="does not select"):
+            solver.tree_for_mask("s", ("a", "b"), mask)
+    assert solver.tree_for_mask("s", ("a", "b"), 0b01) == frozenset({("a", "s")})
 
 
 def test_fractional_costs_stay_exact():
@@ -401,25 +414,105 @@ def test_subset_mst_table_matches_the_dreyfus_wagner_table():
     assert min(seen.values()) >= 50, seen
 
 
-def test_witness_over_selected_terminals_matches_the_full_run():
-    """tree_for_mask runs the DP over the selected terminals only; its tree
-    is the one the whole terminal list's run reconstructs, on 330 seeded
-    cvm selections at 4, 6 and 8 agents."""
+def test_witness_over_selected_terminals_matches_the_full_run(monkeypatch):
+    """tree_for_mask reads dp values over the selected terminals only; its
+    tree is the one the whole terminal list's run reconstructs, on 330
+    seeded cvm selections at 4, 6 and 8 agents and on the six 11-agent
+    benchmark documents, whose large selections read node-set costs."""
     from costshare import run_cvm
 
+    node_set_witnesses = []
+    build = SteinerSolver._node_set_rows
+
+    def counted(self, root, terms):
+        node_set_witnesses.append(len(terms))
+        return build(self, root, terms)
+
+    monkeypatch.setattr(SteinerSolver, "_node_set_rows", counted)
+    cases = [(agents, 0.5, seed) for agents in (4, 6, 8) for seed in range(110)]
+    cases += [(11, 0.4, seed) for seed in range(6)]
     compared = 0
-    for agents in (4, 6, 8):
-        for seed in range(110):
-            inst = generate_instance(agents=agents, edge_probability=0.5, seed=seed)
-            order = inst.agent_order()
-            selected = run_cvm(inst).selected
-            mask = sum(1 << b for b, a in enumerate(order) if a in selected)
-            solver = SteinerSolver(inst.graph)
-            terms = tuple(solver._idx[a] for a in order)
-            acc = set()
-            solver._collect_edges(solver._dreyfus_wagner(terms), terms, mask,
-                                  solver._idx[inst.source], acc)
-            full_run = solver._canonical_tree(acc, frozenset(selected | {inst.source}))
-            assert solver.tree_for_mask(inst.source, order, mask) == full_run, (agents, seed)
-            compared += bool(mask)
-    assert compared >= 300
+    for agents, p, seed in cases:
+        inst = generate_instance(agents=agents, edge_probability=p, seed=seed)
+        order = inst.agent_order()
+        selected = run_cvm(inst).selected
+        mask = sum(1 << b for b, a in enumerate(order) if a in selected)
+        solver = SteinerSolver(inst.graph)
+        terms = tuple(solver._idx[a] for a in order)
+        acc = set()
+        solver._collect_edges(solver._dreyfus_wagner(terms), terms, mask,
+                              solver._idx[inst.source], acc)
+        full_run = solver._canonical_tree(acc, frozenset(selected | {inst.source}))
+        assert solver.tree_for_mask(inst.source, order, mask) == full_run, (agents, seed)
+        compared += bool(mask)
+    assert compared >= 306
+    # seeds 1 and 4 select all 11 agents, seeds 0 and 5 select nine
+    assert node_set_witnesses.count(11) == 2 and node_set_witnesses.count(9) == 2
+
+
+def test_node_set_values_match_the_dreyfus_wagner_values(monkeypatch):
+    """Every dp value read from node-set costs equals the Dreyfus-Wagner
+    run's, clamped at the solver's sentinel, for every mask and node. The
+    graphs have relays, mixed denominators, zero-cost edges, hidden edges
+    that disconnect subsets, roots other than the source, and the
+    contracted stage graphs of RSM runs. Forcing either source builds the
+    same witness tree."""
+    import random
+
+    from costshare import ReportProfile, AgentReport, run_rsm
+
+    seen = {"relay": 0, "scaled": 0, "zero": 0, "infeasible": 0,
+            "other_root": 0, "contracted": 0, "forced": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        base = generate_instance(agents=4 + seed % 5, edge_probability=0.5,
+                                 max_cost=6, seed=seed)
+        inst = Instance(base.source, sorted(base.agents),
+                        {e: Fraction(c, rng.choice((1, 1, 2, 3, 4, 6)))
+                         for e, c in base.graph.edges().items()},
+                        base.valuations)
+        profile = ReportProfile(inst, {
+            a: AgentReport(frozenset(e for e in sorted(inst.true_edges_of(a))
+                                     if rng.random() < 0.8), inst.valuations[a])
+            for a in inst.agent_order()})
+        cache = SteinerCache()
+        graph = cache.induced(profile)
+        graphs = [graph]
+        merged = {inst.source}
+        for record in run_rsm(inst, profile, cache).stage_trace:
+            merged |= record.selected
+            graphs.append(cache.contracted(graph, merged, inst.source))
+        for g in graphs:
+            nodes = sorted(g.nodes)
+            if len(nodes) < 2:
+                continue
+            seen["contracted"] += bool(g.origins)
+            seen["zero"] += 0 in g.edges().values()
+            for root_label in dict.fromkeys((inst.source, rng.choice(nodes))):
+                solver = SteinerSolver(g)
+                seen["scaled"] += solver.scale > 1
+                seen["other_root"] += root_label != inst.source
+                labels = tuple(rng.sample(nodes, rng.randint(1, len(nodes))))
+                seen["relay"] += not g.nodes <= {root_label, *labels}
+                terms = tuple(solver._idx[t] for t in labels)
+                root, inf = solver._idx[root_label], solver._inf
+                dw = solver._dreyfus_wagner(terms)
+                rows = solver._node_set_rows(root, terms)
+                assert len(rows) == len(dw)
+                for mask in range(1, len(dw)):
+                    want = [min(c, inf) for c in dw[mask]]
+                    assert rows[mask] == want, (seed, root_label, labels, mask)
+                seen["infeasible"] += any(c >= inf for row in dw[1:] for c in row)
+                table = solver.cost_table(root_label, labels)
+                for mask in rng.sample(range(1, len(dw)), min(len(dw) - 1, 4)):
+                    if table[mask] is None:
+                        continue
+                    trees = set()
+                    for force in (False, True):
+                        monkeypatch.setattr(steiner, "_node_sets_pay",
+                                            lambda k, n, e, force=force: force)
+                        trees.add(SteinerSolver(g).tree_for_mask(root_label, labels, mask))
+                    monkeypatch.undo()
+                    assert len(trees) == 1, (seed, root_label, labels, mask)
+                    seen["forced"] += 1
+    assert min(seen.values()) >= 50, seen

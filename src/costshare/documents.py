@@ -11,7 +11,8 @@ Schema::
     }
 
 Numbers are integers or exact strings ("3/2", "0.5"); bare JSON floats are
-rejected because they cannot represent the intended rational exactly.
+rejected because they cannot represent the intended rational exactly, and
+digit-group underscores ("1_000") because only some Python versions read them.
 Numbers are also capped: in lowest terms, numerator and denominator may have
 at most MAX_NUMBER_DIGITS decimal digits, a number string may be at most
 MAX_NUMBER_TEXT characters long, and its decimal exponent at most
@@ -34,7 +35,7 @@ MAX_NUMBER_DIGITS = 30
 MAX_NUMBER_TEXT = 4 * MAX_NUMBER_DIGITS
 MAX_EXPONENT = MAX_NUMBER_TEXT + MAX_NUMBER_DIGITS
 _NUMBER_LIMIT = 10 ** MAX_NUMBER_DIGITS
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 
 
 def parse_number(x, what: str):
@@ -49,11 +50,7 @@ def parse_number(x, what: str):
                 f"at most {MAX_NUMBER_TEXT} are accepted")
         m = _EXPONENT.search(x)
         if m is not None:
-            try:
-                exp = int(m.group(1))
-            except ValueError:
-                exp = 0  # malformed; as_value reports it
-            if abs(exp) > MAX_EXPONENT:
+            if abs(int(m.group(1))) > MAX_EXPONENT:
                 raise ValidationError(
                     f"exponent of {x!r} for {what} is out of range "
                     f"(at most {MAX_EXPONENT} in size)")

@@ -43,6 +43,8 @@ def as_value(x) -> Value:
         return int(x) if x.denominator == 1 else x
     if isinstance(x, str):
         try:
+            if "_" in x:  # Fraction reads "1_000" only from Python 3.11 on
+                raise ValueError(x)
             f = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed number: {x!r}") from exc

@@ -75,8 +75,6 @@ class PropertyReport:
 
 
 def _resolve(mechanism):
-    if callable(mechanism):
-        return getattr(mechanism, "__name__", "custom"), mechanism
     if mechanism not in MECHANISMS:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
     return mechanism, MECHANISMS[mechanism]

@@ -35,7 +35,7 @@ deterministically. The values come from one of two sources:
   that is the root's table entry; for one without it, the cheaper of that
   entry and a second superset-min transform over the spanning-tree costs of
   the root-free node sets, about 2^(n-1) * E steps for E edges whatever k
-  is. Rows are built as the reconstruction reads them.
+  is.
 
 ``_node_sets_pay`` compares the two step counts with one measured constant.
 The sources agree on every value below the sentinel, and the reconstruction
@@ -69,7 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable
 
 from .model import (Edge, ReportProfile, SizeCapError, ValidationError, Value,
                     WeightedGraph, as_value, edge_key, induced_graph, unscale)
@@ -110,21 +109,6 @@ class _DisjointSet:
         return True
 
 
-def _kruskal(nodes: Iterable[str], edges: list[tuple[Edge, Value]]):
-    """Spanning tree by ascending (cost, edge key); None when disconnected."""
-    nodes = list(nodes)
-    ds = _DisjointSet(nodes)
-    picked = []
-    total = 0
-    for e, c in sorted(edges, key=lambda item: (item[1], item[0])):
-        if ds.union(*e):
-            picked.append(e)
-            total += c
-    if len(picked) != len(nodes) - 1:
-        return None
-    return as_value(total), tuple(picked)
-
-
 class SteinerSolver:
     """Per-graph exact Steiner solver with memoized cost tables.
 
@@ -159,10 +143,13 @@ class SteinerSolver:
         self._edges = sorted((c, self._idx[u], self._idx[v]) for (u, v), c in costs.items())
         self._dist = self._nxt = None
         self._roots: dict[int, list[int]] = {}  # see _node_set_costs
-        self._runs: dict[tuple[int, ...], list] = {}
         self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
 
-    def _shortest_paths(self):
+    def _shortest_paths(self) -> list[list[int]]:
+        """All-pairs shortest distances, with next hops in ``_nxt``;
+        computed on first use and kept."""
+        if self._dist is not None:
+            return self._dist
         n, inf = self._n, self._inf
         dist = [[inf] * n for _ in range(n)]
         nxt = [[None] * n for _ in range(n)]
@@ -186,7 +173,8 @@ class SteinerSolver:
                     if alt < di[j]:
                         di[j] = alt
                         ni[j] = ni[k]
-        return dist, nxt
+        self._dist, self._nxt = dist, nxt
+        return dist
 
     def _path_edges(self, i: int, j: int) -> list[Edge]:
         edges = []
@@ -277,6 +265,14 @@ class SteinerSolver:
         top = 1 << (self._n - 1)
         return self._superset_min(self._spanning_costs(self._root_edges(root), top, top))
 
+    def _root_table(self, root: int) -> list[int]:
+        """``_subset_mst_table(root)``, built on first use and kept; see
+        ``_node_set_costs`` for what it may grow into."""
+        best = self._roots.get(root)
+        if best is None:
+            best = self._roots[root] = self._subset_mst_table(root)
+        return best
+
     def _node_set_costs(self, root: int) -> list[int]:
         """The root's table extended in place to the cost of the cheapest
         tree spanning each node set, ``_inf`` when none does. A set with
@@ -288,19 +284,16 @@ class SteinerSolver:
         U is spanned either by a tree through the root, table[U], or by one
         that avoids it, whose cost is a second superset-min transform over
         the spanning-tree costs of the root-free node sets."""
-        best = self._roots.get(root)
-        if best is None:
-            best = self._roots[root] = self._subset_mst_table(root)
+        best = self._root_table(root)
         top = 1 << (self._n - 1)
         if len(best) == top:
             free = [e for e in self._root_edges(root) if not e[3] & top]
             best += list(map(min, self._superset_min(self._spanning_costs(free, top, 0)), best))
         return best
 
-    def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> "_NodeSetRows":
-        """The dp values of a Dreyfus-Wagner run over ``terms``, read from
+    def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> list[list[int]]:
+        """The dp rows of a Dreyfus-Wagner run over ``terms``, read from
         node-set costs: dp[mask][v] spans the node set terms(mask) + v."""
-        _check_terminal_count(len(terms))
         cost = self._node_set_costs(root)
         pos = self._positions(root)
         top = 1 << pos[root]
@@ -311,17 +304,17 @@ class SteinerSolver:
         sets = [top]
         for t in terms:
             sets += [s & ~top if t == root else s | bits[t] for s in sets]
-        return _NodeSetRows(cost, sets, bits, root)
+        rows = [[cost[s | b] for b in bits] for s in sets]
+        for row, s in zip(rows, sets):
+            row[root] = cost[s & (top - 1)]
+        return rows
 
     def _dreyfus_wagner(self, terms: tuple[int, ...]) -> list:
         """dp[mask][v] for every nonempty terminal mask; mask 0 is handled
         by callers (cost 0, empty tree). Only values are kept: merging
         splits in any order gives the same minimum, and _collect_edges
         re-derives the choices of the few masks a witness needs."""
-        _check_terminal_count(len(terms))
-        if self._dist is None:
-            self._dist, self._nxt = self._shortest_paths()
-        n, dist = self._n, self._dist
+        n, dist = self._n, self._shortest_paths()
         nodes = range(n)
         size = 1 << len(terms)
         dp: list = [None] * size
@@ -367,9 +360,7 @@ class SteinerSolver:
             root = self._term_indices([root_label])[0]
             terms = self._term_indices(terminal_labels)
             _check_terminal_count(len(terms))
-            best = self._roots.get(root)
-            if best is None:
-                best = self._roots[root] = self._subset_mst_table(root)
+            best = self._root_table(root)
             masks = [0]
             for t in terms:
                 bit = 0 if t == root else 1 << (t - (t > root))
@@ -415,12 +406,18 @@ class SteinerSolver:
     def _canonical_tree(self, edges: set[Edge], keep: frozenset[str]) -> frozenset[Edge]:
         """Reduce a connected witness edge set to a tree and drop degree-one
         non-terminals. Both steps can only shed zero-cost redundancy, which
-        the caller asserts by comparing costs."""
-        if not edges:
-            return frozenset()
-        nodes = {v for e in edges for v in e}
-        tree = _kruskal(nodes, [(e, self.graph.cost(*e)) for e in edges])
-        picked = set(tree[1])
+        the caller asserts by comparing costs.
+
+        Kruskal scans the solver's edges by (scaled cost, i, j). The scale
+        is a positive int and node indices follow label order, so that is
+        the order of (exact cost, edge key)."""
+        labels = self._labels
+        ds = _DisjointSet(range(self._n))
+        picked = set()
+        for _, i, j in self._edges:
+            e = (labels[i], labels[j])
+            if e in edges and ds.union(i, j):
+                picked.add(e)
         while True:
             degree: dict[str, int] = {}
             for a, b in picked:
@@ -453,15 +450,12 @@ class SteinerSolver:
         if mask == 0:
             return frozenset()
         chosen = tuple(t for b, t in enumerate(terms) if mask >> b & 1)
-        dp = self._runs.get(chosen)
-        if dp is None:
-            if _node_sets_pay(len(chosen), self._n, len(self._edges)):
-                dp = self._node_set_rows(root, chosen)
-            else:
-                dp = self._dreyfus_wagner(chosen)
-            self._runs[chosen] = dp
-        if self._dist is None:
-            self._dist, self._nxt = self._shortest_paths()
+        _check_terminal_count(len(chosen))
+        if _node_sets_pay(len(chosen), self._n, len(self._edges)):
+            dp = self._node_set_rows(root, chosen)
+        else:
+            dp = self._dreyfus_wagner(chosen)
+        self._shortest_paths()  # _collect_edges walks its next hops
         full = len(dp) - 1
         want = dp[full][root]
         if want >= self._inf:
@@ -474,25 +468,6 @@ class SteinerSolver:
         if got != want:
             raise AssertionError(f"witness cost {got} disagrees with dp value {want}")
         return tree
-
-
-class _NodeSetRows:
-    """Dreyfus-Wagner dp rows read from node-set costs (see
-    ``SteinerSolver._node_set_costs``). Row ``mask`` is built when asked
-    for, so a witness touches only the rows its reconstruction scans."""
-
-    def __init__(self, cost: list[int], sets: list[int], bits: list[int], root: int):
-        self._cost, self._sets, self._bits, self._root = cost, sets, bits, root
-        self._low = len(cost) // 2 - 1
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __getitem__(self, mask: int) -> list[int]:
-        cost, base = self._cost, self._sets[mask]
-        row = [cost[base | b] for b in self._bits]
-        row[self._root] = cost[base & self._low]
-        return row
 
 
 # A Dreyfus-Wagner run over k terminals costs about 3^k * n steps (n nodes);

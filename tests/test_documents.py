@@ -96,6 +96,12 @@ def test_non_numbers_are_not_called_floats(bad):
     assert "float" not in str(info.value)
 
 
+@pytest.mark.parametrize("bad", ["1_000", "1_0/3", "1_0e1_0"])
+def test_digit_group_underscores_are_malformed_on_every_python(bad):
+    with pytest.raises(ValidationError, match="malformed number for valuation"):
+        parse_instance(_doc(valuations={"a": bad, "b": 1}))
+
+
 def test_number_size_is_capped_before_it_is_built():
     big = "9" * (MAX_NUMBER_DIGITS + 1)
     for bad in ("1e99999", "0e99999", "1e-99999", "1" + "e" + "9" * 60,

@@ -289,19 +289,21 @@ def _reference_ir_draws(instance, name, samples, seed, step):
 
 @pytest.mark.parametrize("name", ["cvm", "rsm", "bird"])
 @pytest.mark.parametrize("step", [Fraction(1, 2), Fraction(1, 3)])
-def test_individual_rationality_draws_match_the_deviation_lists(name, step):
+def test_individual_rationality_draws_match_the_deviation_lists(monkeypatch, name, step):
     from costshare.properties import MECHANISMS
 
+    run = MECHANISMS[name]
     for seed in (0, 5, 17):
         inst = generate_instance(4, 0.5, seed=seed)
         seen = []
 
         def recorder(instance, profile, cache):
             seen.append(dict(profile.reports))
-            return MECHANISMS[name](instance, profile, cache)
+            return run(instance, profile, cache)
 
-        recorder.__name__ = name
-        rep = check_individual_rationality(inst, recorder, samples=6, seed=seed, step=step)
+        with monkeypatch.context() as patch:
+            patch.setitem(MECHANISMS, name, recorder)
+            rep = check_individual_rationality(inst, name, samples=6, seed=seed, step=step)
         assert seen == _reference_ir_draws(inst, name, 6, seed, step)
         assert rep.to_json() == check_individual_rationality(
             inst, name, samples=6, seed=seed, step=step).to_json()

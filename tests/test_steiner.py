@@ -516,3 +516,71 @@ def test_node_set_values_match_the_dreyfus_wagner_values(monkeypatch):
                     assert len(trees) == 1, (seed, root_label, labels, mask)
                     seen["forced"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def _reference_canonical_tree(graph, edges, keep):
+    """Kruskal by (exact cost, edge key) over the witness edges, then one
+    non-kept leaf removed at a time until none is left."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    picked = set()
+    for u, v in sorted(edges, key=lambda e: (graph.cost(*e), e)):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            picked.add((u, v))
+    while True:
+        degree = {}
+        for e in picked:
+            for x in e:
+                degree[x] = degree.get(x, 0) + 1
+        leaf = next((e for e in sorted(picked)
+                     if any(degree[x] == 1 and x not in keep for x in e)), None)
+        if leaf is None:
+            return frozenset(picked)
+        picked.discard(leaf)
+
+
+def test_canonical_tree_matches_a_kruskal_by_exact_cost_and_edge_key():
+    """_canonical_tree scans the solver's scaled int edges; its tree is the
+    one Kruskal over (exact cost, edge key) plus leaf pruning gives, on
+    connected edge sets full of equal-cost cycles, zero-cost edges and
+    mixed denominators, with labels whose order is not their creation
+    order."""
+    import random
+
+    costs = [Fraction(c) for c in (0, 0, 1, 1, 1, 2)] + [Fraction(1, 2), Fraction(2, 3)]
+    seen = {"tie_dropped": 0, "zero": 0, "scaled": 0, "pruned": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        labels = rng.sample(["s", "a", "b", "c", "d", "e", "f", "g", "h", "k10", "k9"],
+                            rng.randint(4, 9))
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        g = _graph({p: rng.choice(costs) for p in rng.sample(pairs, len(pairs) * 2 // 3)},
+                   labels)
+        solver = SteinerSolver(g)
+        picked = {e for e in g.edges() if rng.random() < 0.7}
+        start = rng.choice(labels)
+        reach, edges, grew = {start}, set(), True
+        while grew:
+            grew = False
+            for e in sorted(picked - edges):
+                if reach & set(e):
+                    reach |= set(e)
+                    edges.add(e)
+                    grew = True
+        keep = frozenset(rng.sample(sorted(reach), rng.randint(1, len(reach))))
+        want = _reference_canonical_tree(g, edges, keep)
+        assert solver._canonical_tree(edges, keep) == want, seed
+        cycle_costs = [g.cost(*e) for e in edges]
+        seen["tie_dropped"] += (len(set(cycle_costs)) < len(cycle_costs)
+                                and len(edges) > len(reach) - 1)
+        seen["zero"] += 0 in cycle_costs
+        seen["scaled"] += solver.scale > 1
+        seen["pruned"] += len(want) < len(reach) - 1
+    assert min(seen.values()) >= 50, seen

@@ -32,6 +32,14 @@ from .properties import (MECHANISMS, PROPERTIES, PropertyReport,
                          welfare_ratio_of_selection)
 from .steiner import SteinerCache
 
+
+def _choices(dest: str) -> tuple[str, ...]:
+    """The values of --mechanism, --property and --name. ``main`` checks
+    them, not argparse, whose error text differs between Python releases."""
+    return {"mechanism": tuple(sorted(MECHANISMS)), "property": (*PROPERTIES, "all"),
+            "name": tuple(DEMOS)}[dest]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costshare",
@@ -40,15 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run a mechanism on an instance document")
     p_solve.add_argument("--input", required=True, help="instance document path")
-    p_solve.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
+    p_solve.add_argument("--mechanism", required=True, help=", ".join(_choices("mechanism")))
     p_solve.add_argument("--trace", action="store_true",
                          help="include the stage trace in the output")
     p_solve.set_defaults(func=cmd_solve)
 
     p_check = sub.add_parser("check", help="check mechanism properties")
-    p_check.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
-    p_check.add_argument("--property", required=True,
-                         choices=tuple(PROPERTIES) + ("all",))
+    p_check.add_argument("--mechanism", required=True, help=", ".join(_choices("mechanism")))
+    p_check.add_argument("--property", required=True, help=", ".join(_choices("property")))
     p_check.add_argument("--input", help="check one instance document")
     p_check.add_argument("--count", type=int, default=10,
                          help="corpus size when no input is given")
@@ -63,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_demo = sub.add_parser("demo", help="walk through a named phenomenon")
-    p_demo.add_argument("--name", required=True, choices=DEMOS)
+    p_demo.add_argument("--name", required=True, help=", ".join(_choices("name")))
     p_demo.set_defaults(func=cmd_demo)
 
     p_gen = sub.add_parser("gen", help="write a deterministic random instance")
@@ -299,6 +306,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        for dest in ("mechanism", "property", "name"):
+            value = getattr(args, dest, None)
+            if value is not None and value not in _choices(dest):
+                names = ", ".join(_choices(dest))
+                raise ValidationError(f"--{dest} must be one of: {names}; got {value!r}")
         return args.func(args)
     except (ValidationError, SizeCapError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

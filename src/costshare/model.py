@@ -87,16 +87,14 @@ def edge_key(u: str, v: str) -> Edge:
 class WeightedGraph:
     """Immutable undirected graph with exact edge costs.
 
-    ``origins`` maps an edge of this graph back to an edge of the graph it
-    was derived from (used after contraction); it defaults to the identity.
-    Hashable by content so solvers can be memoized per graph; the hash is
-    computed once, since graphs serve as dict keys on every cache lookup.
+    Equal and hashable by content, its nodes and edge costs, so solvers can
+    be memoized per graph; the hash is computed once, since graphs serve as
+    dict keys on every cache lookup.
     """
 
-    __slots__ = ("nodes", "_costs", "_adj", "origins", "_fingerprint", "_hash")
+    __slots__ = ("nodes", "_costs", "_adj", "_fingerprint", "_hash")
 
-    def __init__(self, nodes: Iterable[str], costs: Mapping[Edge, Value],
-                 origins: Mapping[Edge, Edge] | None = None):
+    def __init__(self, nodes: Iterable[str], costs: Mapping[Edge, Value]):
         self.nodes = frozenset(nodes)
         cleaned = {}
         adj: dict[str, dict[str, Value]] = {v: {} for v in self.nodes}
@@ -114,7 +112,6 @@ class WeightedGraph:
             adj[k[1]][k[0]] = c
         self._costs = cleaned
         self._adj = adj
-        self.origins = dict(origins) if origins else {}
         self._fingerprint = (
             tuple(sorted(self.nodes)),
             tuple(sorted((u, v, c) for (u, v), c in cleaned.items())),
@@ -133,9 +130,6 @@ class WeightedGraph:
     def adjacent(self, v: str) -> dict[str, Value]:
         """Neighbors of v with the cost of the connecting edge."""
         return dict(self._adj[v])
-
-    def origin_of(self, e: Edge) -> Edge:
-        return self.origins.get(e, e)
 
     def total_cost(self, edges: Iterable[Edge]) -> Value:
         return as_value(sum(Fraction(self._costs[edge_key(*e)]) for e in edges))
@@ -312,9 +306,12 @@ def apply_deviation(profile: ReportProfile, i: str, report: AgentReport) -> Repo
     if i not in inst.agents:
         raise ValidationError(f"unknown agent {i!r}")
     _check_declaration(inst, i, report)
-    reports = dict(profile.reports)
-    reports[i] = report
+    return _unchecked_profile(inst, {**profile.reports, i: report})
+
+
+def _unchecked_profile(instance: Instance, reports: dict[str, AgentReport]) -> ReportProfile:
+    """A profile over known-valid reports, kept as given: no copy, no checks."""
     out = object.__new__(ReportProfile)
-    object.__setattr__(out, "instance", inst)
+    object.__setattr__(out, "instance", instance)
     object.__setattr__(out, "reports", reports)
     return out

@@ -31,8 +31,9 @@ from typing import Callable, NamedTuple
 from .baselines import run_bird
 from .cvm import run_cvm
 from .model import (AgentReport, Instance, ReportProfile, SizeCapError,
-                    ValidationError, Value, as_value, apply_deviation,
-                    edge_key, exact_div, truthful_profile, value_to_json)
+                    ValidationError, Value, _unchecked_profile, as_value,
+                    apply_deviation, edge_key, exact_div, truthful_profile,
+                    value_to_json)
 from .rsm import run_rsm
 from .steiner import SteinerCache
 from .welfare import social_welfare
@@ -41,6 +42,7 @@ MECHANISMS = {"cvm": run_cvm, "rsm": run_rsm, "bird": run_bird}
 
 HALF = Fraction(1, 2)
 MAX_AGENTS = 12
+TWIN_EXTRA_AGENTS = 2
 EFFICIENCY_CAP = 8
 # Valuations per agent a deviation grid may hold. Every edge subset of an
 # agent is paired with every grid point, so the grid is counted before it
@@ -272,10 +274,11 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
     for i in sorted(instance.agents):
         for _ in range(samples):
             # Draw in sorted order: frozenset order varies with the hash seed.
+            # Drawn reports declare only true edges, so none is re-checked.
             reports = {j: base.reports[j] if j == i else draw(j)
                        for j in instance.agent_order()}
             alloc = _run_or_none(runner, instance,
-                                 ReportProfile(instance, reports), cache)
+                                 _unchecked_profile(instance, reports), cache)
             if alloc is None:
                 continue
             checked += 1
@@ -508,14 +511,11 @@ def generate_instance(agents: int = 4, edge_probability: float = 0.5,
                           "edge probability")
 
 
-def make_twin_instance(seed: int = 0, extra_agents: int = 2,
-                       ranked: bool = False) -> tuple[Instance, str, str]:
+def make_twin_instance(seed: int = 0, ranked: bool = False) -> tuple[Instance, str, str]:
     """Instance containing a designated agent pair ('b', 'c') built to
     satisfy the symmetry hypothesis, or the ranking hypothesis when ranked
     is set (b dominates c). Returns (instance, better agent, other agent)."""
-    if not 0 <= extra_agents <= MAX_AGENTS - 2:
-        raise ValidationError(f"extra agent count must lie in [0, {MAX_AGENTS - 2}]")
-    extras = [x for x in _LABELS if x not in ("b", "c")][:extra_agents]
+    extras = [x for x in _LABELS if x not in ("b", "c")][:TWIN_EXTRA_AGENTS]
     others = ["s"] + extras
     rng = random.Random(seed)
     for _ in range(1000):

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from .allocation import Allocation, StageRecord
 from .model import Instance, ReportProfile, Value, WeightedGraph, run_profile, unscale
-from .steiner import SteinerCache, scaled_to_ints
-from .welfare import connection_cost
+from .steiner import SteinerCache, attachment_edge, scaled_to_ints
+from .welfare import check_welfare_cap, connection_cost
 
 
 def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
@@ -103,6 +103,7 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
             cache: SteinerCache | None = None) -> Allocation:
     """Run the mechanism on a report profile (truthful by default)."""
     profile = run_profile(instance, profile)
+    check_welfare_cap(len(instance.agents))
     cache = cache or SteinerCache()
     base = cache.induced(profile)
     source = instance.source
@@ -112,7 +113,7 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
     merged = frozenset({source})
     x_prev: Value = 0
     shares: dict[str, Value] = {}
-    stages = []  # (selected, share, excluded, remaining after, graph, pool order)
+    stages = []  # (selected, share, excluded, remaining after, merged, pool order)
     while remaining:
         graph = cache.contracted(base, merged, source)
         pool = tuple(sorted(remaining))
@@ -122,19 +123,20 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
         selected_t, x_t = picked
         excluded_t = frozenset(i for i in remaining - selected_t if reported[i] < x_t)
         remaining = remaining - selected_t - excluded_t
-        stages.append((selected_t, x_t, excluded_t, remaining, graph, pool))
+        stages.append((selected_t, x_t, excluded_t, remaining, merged, pool))
         shares.update(dict.fromkeys(selected_t, x_t))
         merged = merged | selected_t
         x_prev = x_t
 
     def stage_records():
         records = []
-        for t, (selected_t, x_t, excluded_t, remaining_t, graph, pool) in enumerate(
+        for t, (selected_t, x_t, excluded_t, remaining_t, merged_t, pool) in enumerate(
                 stages, start=1):
+            graph = cache.contracted(base, merged_t, source)
             mask = sum(1 << b for b, a in enumerate(pool) if a in selected_t)
-            edges = cache.solver(graph).tree_for_mask(source, pool, mask)
-            records.append(StageRecord(t, selected_t, x_t, excluded_t, remaining_t,
-                                       frozenset(graph.origin_of(e) for e in edges)))
+            tree = cache.solver(graph).tree_for_mask(source, pool, mask)
+            edges = frozenset(attachment_edge(base, merged_t, source, e) for e in tree)
+            records.append(StageRecord(t, selected_t, x_t, excluded_t, remaining_t, edges))
         return tuple(records)
 
     return Allocation("rsm", profile, shares, connection_cost(profile, shares, cache),

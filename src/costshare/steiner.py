@@ -41,13 +41,11 @@ deterministically. The values come from one of two sources:
 The sources agree on every value below the sentinel, and the reconstruction
 follows only those, so both build the same tree. A separate brute-force
 oracle (every node superset, cheapest spanning tree) exists only to
-cross-check the solver and shares none of its code path.
+cross-check the solver; its ``_induced_mst_table`` shares only the
+``_DisjointSet`` union-find with the solver's ``_canonical_tree``.
 
 Solvers are pure after construction; a SteinerCache may be shared freely
-within a thread. The cache matches graphs by content (nodes and costs), not
-by ``origins``, so a solver may serve a graph other than ``solver.graph``:
-it supplies costs and edges of that content, and callers map edges back
-through their own graph's ``origins``.
+within a thread. It matches graphs by content, which is all a graph is.
 
 The cache also memoizes the graphs a run derives from its reports, because a
 deviation sweep varies one agent's valuation far more often than its edges:
@@ -58,10 +56,8 @@ deviation sweep varies one agent's valuation far more often than its edges:
   stays alive while the entry exists; an ``id()`` key could instead be
   reused by a later object once the first is collected and return a stale
   graph.
-- ``contracted`` is keyed by the graph's content and its ``origins`` (a
-  contraction maps edges back through its input's origins), the merged set
-  and the source. Merging the source alone is the identity and returns the
-  graph itself, ``origins`` included.
+- ``contracted`` is keyed by the graph, the merged set and the source.
+  Merging the source alone is the identity and returns the graph itself.
 """
 
 from __future__ import annotations
@@ -73,9 +69,9 @@ from math import lcm
 from .model import (Edge, ReportProfile, SizeCapError, ValidationError, Value,
                     WeightedGraph, as_value, edge_key, induced_graph, unscale)
 
+# A 12-agent instance plus its source is 13 nodes, all of them terminals.
+# The node cap is one above that, and bounds the exponential subset tables.
 MAX_NODES = 14
-# Enough for a 12-agent instance plus its source; the subset dynamics are
-# exponential in this, so it is the knob that actually bounds runtime.
 MAX_TERMINALS = 13
 ORACLE_MAX_NODES = 12
 
@@ -541,7 +537,7 @@ class SteinerCache:
         merged = frozenset(merged)
         if merged == frozenset((source,)) and source in graph.nodes:
             return graph
-        key = (graph, frozenset(graph.origins.items()), merged, source)
+        key = (graph, merged, source)
         g = self._contracted.get(key)
         if g is None:
             g = self._contracted[key] = contract_into_source(graph, merged, source)
@@ -616,33 +612,32 @@ def brute_force_steiner_oracle(graph: WeightedGraph, terminals) -> SteinerResult
 def contract_into_source(graph: WeightedGraph, merged, source: str) -> WeightedGraph:
     """Merge a node set containing the source into a single source node.
 
-    Parallel attachment edges collapse to the cheapest original edge, ties
-    going to the lexicographically smallest one; edges inside the merged set
-    vanish. The result's ``origins`` map each surviving source edge back to
-    the original edge it stands for.
+    Parallel attachment edges collapse to one edge at the cheapest of their
+    costs; edges inside the merged set vanish. ``attachment_edge`` names the
+    edge of ``graph`` that a surviving source edge stands for.
     """
     merged = frozenset(merged)
     if source not in merged:
         raise ValidationError("the merged set must contain the source")
     if not merged <= graph.nodes:
         raise ValidationError("merged nodes must belong to the graph")
-    nodes = (graph.nodes - merged) | {source}
     costs: dict[Edge, Value] = {}
-    origins: dict[Edge, Edge] = {}
-    for e, c in sorted(graph.edges().items()):
-        u, v = e
+    for (u, v), c in graph.edges().items():
         um, vm = u in merged, v in merged
-        if um and vm:
-            continue
-        if um or vm:
-            out = v if um else u
-            k = edge_key(out, source)
-            if k not in costs or c < costs[k]:
-                costs[k] = c
-                origins[k] = graph.origin_of(e)
-        else:
-            costs[e] = c
-            o = graph.origin_of(e)
-            if o != e:
-                origins[e] = o
-    return WeightedGraph(nodes, costs, origins)
+        if not (um or vm):
+            costs[u, v] = c
+        elif not (um and vm):
+            k = edge_key(v if um else u, source)
+            costs[k] = min(c, costs.get(k, c))
+    return WeightedGraph((graph.nodes - merged) | {source}, costs)
+
+
+def attachment_edge(graph: WeightedGraph, merged, source: str, e: Edge) -> Edge:
+    """The edge of ``graph`` that edge ``e`` of its contraction stands for:
+    ``e`` itself unless it ends at the source, else the cheapest edge from
+    its other end into ``merged``, ties going to the smallest edge key."""
+    if source not in e:
+        return e
+    out = e[0] if e[1] == source else e[1]
+    return min((c, edge_key(out, w)) for w, c in graph.adjacent(out).items()
+               if w in merged)[1]

@@ -77,6 +77,12 @@ class WelfareTable:
         return (1 << len(self.agents)) - 1
 
 
+def check_welfare_cap(agents: int) -> None:
+    """Refuse a welfare computation over more agents than the cap."""
+    if agents > WELFARE_CAP:
+        raise SizeCapError(f"{agents} agents exceed the welfare cap of {WELFARE_CAP}")
+
+
 def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None):
     """Cheapest cost of connecting the agent set S to the source on the
     induced graph, exact; None when S cannot be connected. The one place an
@@ -129,8 +135,7 @@ def compute_delta_table(profile: ReportProfile, cache: SteinerCache | None = Non
     agents = tuple(sorted(ground)) if ground is not None else inst.agent_order()
     if not frozenset(agents) <= inst.agents:
         raise ValidationError("ground set must consist of agents")
-    if len(agents) > WELFARE_CAP:
-        raise SizeCapError(f"{len(agents)} agents exceed the welfare cap of {WELFARE_CAP}")
+    check_welfare_cap(len(agents))
     cache = cache or SteinerCache()
     solver = cache.solver(cache.induced(profile))
     reports = profile.reports

@@ -69,6 +69,15 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     ({"edges": [{"u": "s", "v": 7, "cost": 1}]}, "edge endpoint must be a string label"),
     ({"valuations": {"a": None}}, "malformed number for valuation of 'a': None"),
     ({"valuations": {"a": "1e99999"}}, "out of range"),
+    ({"edges": [{"u": "s", "v": "a", "cost": 1}, {"u": "a", "v": "s", "cost": 2}]},
+     "duplicate edge ('a', 's')"),
+    ({"valuations": [2]}, "valuations must be an object"),
+    ({"reports": [["a", 2]]}, "reports must be an object"),
+    ({"reports": {"z": {"edges": [], "valuation": 1}}}, "report for unknown agent 'z'"),
+    ({"reports": {"a": {"edges": []}}}, "malformed report for agent 'a'"),
+    ({"edges": [{"u": "s", "v": "a", "cost": 1}, {"u": "a", "v": "x", "cost": 1}]},
+     "edge ('a', 'x') has an undeclared endpoint"),
+    ({"valuations": {"a": -1}}, "negative valuation for agent 'a'"),
 ])
 def test_malformed_input_exits_2_with_a_true_message(tmp_path, capsys, patch, message):
     doc = {"source": "s", "agents": ["a"], "edges": [{"u": "s", "v": "a", "cost": 1}],
@@ -88,16 +97,37 @@ def test_undecodable_input_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_size_cap_exits_3(tmp_path, capsys):
+def test_argparse_exits_are_returned(capsys):
+    assert main(["solve"]) == 2
+    assert "--input" in capsys.readouterr().err
+    assert main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: costshare")
+
+
+def _star(tmp_path, agents: int) -> str:
+    """A document of ``agents`` agents, each joined to the source alone."""
+    labels = [f"a{i:02d}" for i in range(agents)]
     doc = {
         "source": "s",
-        "agents": [f"a{i:02d}" for i in range(13)],
-        "edges": [{"u": "s", "v": f"a{i:02d}", "cost": 1} for i in range(13)],
-        "valuations": {f"a{i:02d}": 2 for i in range(13)},
+        "agents": labels,
+        "edges": [{"u": "s", "v": a, "cost": 1} for a in labels],
+        "valuations": dict.fromkeys(labels, 2),
     }
-    path = _write(tmp_path, "big.json", json.dumps(doc))
-    assert main(["solve", "--input", path, "--mechanism", "cvm"]) == 3
+    return _write(tmp_path, "big.json", json.dumps(doc))
+
+
+def test_size_cap_exits_3(tmp_path, capsys):
+    assert main(["solve", "--input", _star(tmp_path, 13), "--mechanism", "cvm"]) == 3
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mechanism", ["cvm", "rsm"])
+@pytest.mark.parametrize("agents", [13, 14])
+def test_size_cap_message_names_the_agent_count(tmp_path, capsys, mechanism, agents):
+    """Above 12 agents both welfare-based mechanisms refuse with the agent
+    count, not with a node or terminal count of a graph built inside."""
+    assert main(["solve", "--input", _star(tmp_path, agents), "--mechanism", mechanism]) == 3
+    assert capsys.readouterr().err == f"error: {agents} agents exceed the welfare cap of 12\n"
 
 
 def test_oversized_deviation_grid_exits_3_before_it_is_built(tmp_path, capsys):

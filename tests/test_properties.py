@@ -229,9 +229,33 @@ def test_induced_memo_agrees_with_induced_graph_across_a_sweep(monkeypatch):
         for rep in enumerate_deviations(inst, i):
             p = apply_deviation(base, i, rep)
             got, want = cache.induced(p), induced_graph(p)
-            assert got == want and got.edges() == want.edges() and not got.origins
+            assert got == want and got.edges() == want.edges()
             checked += 1
     assert len(built) == declarations and checked > 100
+
+
+def test_individual_rationality_validates_each_declaration_at_most_once(monkeypatch):
+    """Sampled reports are drawn from each agent's own true edges, so the
+    sampled profiles are built without re-validating them: an IR check
+    checks each agent's declaration at most once, for the truthful profile."""
+    from collections import Counter
+
+    from costshare import model
+
+    checked = Counter()
+    check = model._check_declaration
+
+    def counted(instance, i, report):
+        checked[i] += 1
+        check(instance, i, report)
+
+    monkeypatch.setattr(model, "_check_declaration", counted)
+    inst = generate_instance(agents=4, edge_probability=0.6, seed=5)
+    for mechanism in ("cvm", "rsm", "bird"):
+        checked.clear()
+        report = check_individual_rationality(inst, mechanism, samples=20, seed=3)
+        assert report.instances_checked > 0
+        assert checked and max(checked.values()) == 1, (mechanism, checked)
 
 
 def test_individual_rationality_samples_do_not_depend_on_the_hash_seed():

@@ -20,8 +20,8 @@ from costshare import steiner
 from costshare.fixtures import fig_line
 from costshare.model import WeightedGraph
 from costshare.steiner import (MAX_NODES, ORACLE_MAX_NODES, SteinerCache,
-                               SteinerSolver, brute_force_steiner_oracle,
-                               contract_into_source)
+                               SteinerSolver, attachment_edge,
+                               brute_force_steiner_oracle, contract_into_source)
 from costshare.welfare import connection_cost
 
 
@@ -203,11 +203,14 @@ def test_steiner_cost_convenience_and_cache():
 
 
 def test_contraction_collapses_parallel_attachments():
-    g = _graph({("s", "a"): 5, ("a", "b"): 0, ("b", "s"): 1})
+    g = _graph({("s", "a"): 5, ("a", "b"): 0, ("b", "s"): 1, ("a", "c"): 4})
     c = contract_into_source(g, frozenset({"s", "b"}), "s")
-    assert set(c.edges()) == {("a", "s")}
-    assert c.cost("a", "s") == 0
-    assert c.origin_of(("a", "s")) == ("a", "b")
+    assert c == _graph({("a", "s"): 0, ("a", "c"): 4})
+    assert attachment_edge(g, {"s", "b"}, "s", ("a", "s")) == ("a", "b")
+    assert attachment_edge(g, {"s", "b"}, "s", ("a", "c")) == ("a", "c")
+    cache = SteinerCache()
+    assert cache.contracted(g, {"s"}, "s") is g
+    assert cache.contracted(g, {"b", "s"}, "s") is cache.contracted(g, frozenset({"s", "b"}), "s")
 
 
 def test_contraction_tie_keeps_smallest_original_edge():
@@ -215,17 +218,7 @@ def test_contraction_tie_keeps_smallest_original_edge():
     c = contract_into_source(g, frozenset({"s", "b"}), "s")
     # both routes cost 2; the lexicographically smaller original wins
     assert c.cost("a", "s") == 2
-    assert c.origin_of(("a", "s")) == ("a", "b")
-
-
-def test_contraction_origins_compose():
-    g = _graph({("s", "b"): 1, ("b", "c"): 2, ("a", "c"): 3})
-    first = contract_into_source(g, frozenset({"s", "b"}), "s")
-    assert first.origin_of(("c", "s")) == ("b", "c")
-    second = contract_into_source(first, frozenset({"s", "c"}), "s")
-    assert set(second.edges()) == {("a", "s")}
-    assert second.cost("a", "s") == 3
-    assert second.origin_of(("a", "s")) == ("a", "c")
+    assert attachment_edge(g, {"s", "b"}, "s", ("a", "s")) == ("a", "b")
 
 
 def test_size_caps():
@@ -293,25 +286,6 @@ def test_cost_table_is_memoized_per_query():
     assert solver.cost_table("a", ("b", "s")) is not table
 
 
-def test_a_shared_solver_supplies_costs_not_origins():
-    """The cache matches graphs by nodes and costs only. Two contractions
-    with equal content but different origins share one solver; the tree it
-    returns is in the shared content's edge keys, and each caller maps it
-    back through its own graph's origins."""
-    relay = _graph({("s", "a"): 1, ("a", "b"): 3})
-    direct = _graph({("s", "a"): 1, ("s", "b"): 3})
-    g1 = contract_into_source(relay, frozenset({"s", "a"}), "s")
-    g2 = contract_into_source(direct, frozenset({"s", "a"}), "s")
-    assert g1 == g2 and g1.origins != g2.origins
-    cache = SteinerCache()
-    solver = cache.solver(g1)
-    assert cache.solver(g2) is solver and solver.graph is g1
-    edges = solver.tree_for_mask("s", ("b",), 1)
-    assert edges == frozenset({("b", "s")})
-    assert {g1.origin_of(e) for e in edges} == {("a", "b")}
-    assert {g2.origin_of(e) for e in edges} == {("b", "s")}
-
-
 def test_induced_memo_keys_on_the_instance_not_its_labels():
     """Two instances with the same labels and declarations but different
     costs share a cache; each gets its own induced graph."""
@@ -329,32 +303,6 @@ def test_induced_memo_keys_on_the_instance_not_its_labels():
     assert cache.induced(reordered) is g_cheap
     assert cache.solver(g_cheap).cost_table("s", ("a", "b"))[0b11] == 3
     assert cache.solver(g_dear).cost_table("s", ("a", "b"))[0b11] == 7
-
-
-def test_identity_contraction_keeps_the_callers_origins():
-    g = contract_into_source(_graph({("s", "b"): 1, ("b", "c"): 2, ("a", "c"): 3}),
-                             frozenset({"s", "b"}), "s")
-    assert g.origins
-    cache = SteinerCache()
-    assert cache.contracted(g, {"s"}, "s") is g
-    second = cache.contracted(g, {"s", "c"}, "s")
-    assert second.origin_of(("a", "s")) == ("a", "c")
-    assert cache.contracted(g, frozenset({"c", "s"}), "s") is second
-
-
-def test_contraction_memo_tells_apart_graphs_with_different_origins():
-    """Equal content, different origins: contracting each further must map
-    the surviving edge back through its own input's origins."""
-    relay = _graph({("s", "a"): 1, ("a", "b"): 3, ("s", "c"): 1})
-    direct = _graph({("s", "a"): 1, ("s", "b"): 3, ("s", "c"): 1})
-    cache = SteinerCache()
-    g1 = cache.contracted(relay, {"s", "a"}, "s")
-    g2 = cache.contracted(direct, {"s", "a"}, "s")
-    assert g1 == g2 and g1.origins != g2.origins
-    h1 = cache.contracted(g1, {"s", "c"}, "s")
-    h2 = cache.contracted(g2, {"s", "c"}, "s")
-    assert h1.origin_of(("b", "s")) == ("a", "b")
-    assert h2.origin_of(("b", "s")) == ("b", "s")
 
 
 def _dw_table(solver, root, terms):
@@ -396,7 +344,7 @@ def test_subset_mst_table_matches_the_dreyfus_wagner_table():
             merged |= record.selected
             graphs.append(cache.contracted(graph, merged, inst.source))
         for g in graphs:
-            seen["contracted"] += bool(g.origins)
+            seen["contracted"] += g is not graph
             seen["zero"] += 0 in g.edges().values()
             solver = SteinerSolver(g)
             seen["scaled"] += solver.scale > 1
@@ -486,7 +434,7 @@ def test_node_set_values_match_the_dreyfus_wagner_values(monkeypatch):
             nodes = sorted(g.nodes)
             if len(nodes) < 2:
                 continue
-            seen["contracted"] += bool(g.origins)
+            seen["contracted"] += g is not graph
             seen["zero"] += 0 in g.edges().values()
             for root_label in dict.fromkeys((inst.source, rng.choice(nodes))):
                 solver = SteinerSolver(g)

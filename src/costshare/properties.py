@@ -541,17 +541,3 @@ def make_twin_instance(seed: int = 0, ranked: bool = False) -> tuple[Instance, s
             continue
     raise ValidationError("could not sample a connected twin instance")
 
-
-def scan_for_inefficiency(mechanism, limit: int = 500, agents: int = 4,
-                          edge_probability: float = 0.6, max_cost: int = 5,
-                          max_valuation: int = 8, seed: int = 0):
-    """First seed in [seed, seed + limit) whose generated instance makes the
-    mechanism miss the welfare optimum, or None. Used once to pin down a
-    reproducible counterexample; kept because it documents how that
-    counterexample was found."""
-    for s in range(seed, seed + limit):
-        inst = generate_instance(agents, edge_probability, max_cost,
-                                 max_valuation, seed=s)
-        if not check_efficiency(inst, mechanism).holds:
-            return s, inst
-    return None

@@ -6,9 +6,10 @@ r the cheapest tree joining r to a node set S costs the least m[T] over the
 supersets T of S, where m[T] is the spanning-tree cost of the subgraph
 induced by T and r. A solver computes m for every set of non-root nodes,
 relays included, once per root, and one superset-min (zeta) transform over
-the node bits turns it into the cost of every set at once. A terminal
-list's table is a projection of that array, which is what makes whole
-welfare tables cheap. A subset whose nodes cannot reach the root is
+the node bits turns it into the cost of every set at once. The transform
+takes each bit in whole-slice passes, contiguous runs or strided ones,
+whichever needs fewer slice assignments. A terminal list's table is a
+projection of that array, which is what makes whole welfare tables cheap. A subset whose nodes cannot reach the root is
 infeasible, reported as None rather than a sentinel cost.
 
 Inside a solver everything is a plain int: edge costs are scaled once by
@@ -239,14 +240,27 @@ class SteinerSolver:
     @staticmethod
     def _superset_min(m: list[int]) -> list[int]:
         """Replace each m[T] by the least m over the supersets of T, in
-        place: one pass per bit (the zeta transform over min)."""
+        place, and return m, whose length is a power of two: one pass per
+        bit (the zeta transform over min).
+
+        The pass for bit s pairs every T without s with T | s. Over a table
+        of length L those pairs form L/2s contiguous runs, m[lo:lo+s]
+        against m[lo+s:lo+2s], or s strided runs, m[r::2s] against
+        m[r+s::2s]; the pass takes whichever needs fewer slice assignments,
+        min(s, L/2s), and computes each run with one comparison per pair."""
         top = len(m)
         step = 1
         while step < top:
-            for lo in range(0, top, step << 1):
-                hi = lo + step
-                m[lo:hi] = map(min, m[lo:hi], m[hi:hi + step])
-            step <<= 1
+            span = step << 1
+            if step < top // span:
+                for lo in range(step):
+                    hi = lo + step
+                    m[lo::span] = [a if a < b else b for a, b in zip(m[lo::span], m[hi::span])]
+            else:
+                for lo in range(0, top, span):
+                    hi = lo + step
+                    m[lo:hi] = [a if a < b else b for a, b in zip(m[lo:hi], m[hi:hi + step])]
+            step = span
         return m
 
     def _subset_mst_table(self, root: int) -> list[int]:
@@ -283,8 +297,9 @@ class SteinerSolver:
         best = self._root_table(root)
         top = 1 << (self._n - 1)
         if len(best) == top:
-            free = [e for e in self._root_edges(root) if not e[3] & top]
-            best += list(map(min, self._superset_min(self._spanning_costs(free, top, 0)), best))
+            edges = [e for e in self._root_edges(root) if not e[3] & top]
+            free = self._superset_min(self._spanning_costs(edges, top, 0))
+            best += [a if a < b else b for a, b in zip(free, best)]
         return best
 
     def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> list[list[int]]:
@@ -472,7 +487,9 @@ class SteinerSolver:
 # graphs of 6 to 13 nodes and 9 to 49 edges, one step of the second took
 # 1.4 to 5.6 times one step of the first, 2.6 at the median. At n = 12 and
 # E = 33 that keeps k = 8 on the DP (a 5 ms run against 12 ms of node sets)
-# and moves k = 9 to node sets (a 16 ms run against the same 12 ms).
+# and moves k = 9 to node sets (a 16 ms run against the same 12 ms). Those
+# timings predate the whole-slice transform passes, which made the node-set
+# side cheaper; the constant has not been re-tuned since.
 NODE_SET_STEP = 2.6
 
 

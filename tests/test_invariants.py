@@ -10,6 +10,14 @@ scaling is exercised on every instance.
 Renaming every node, the source included, by a map that preserves label
 order must leave the outcome the same under that map: every tie rule breaks
 on label order, and graph memos key on agents in sorted order.
+
+Adding an agent that values service at 0 and hangs off the graph by one
+edge dearer than every other edge together must change nothing: no
+mechanism can afford to serve it, so every selection and every other
+agent's share stay, and it pays 0 (Chen, Cheung & Yiu, HKUST-CS98-01,
+1998). Its label sorts after every node. With a label that sorts between
+the agents instead, cvm's drop-the-largest-label tie rule can pick another
+selection of equal welfare, so that case is not asserted.
 """
 
 import random
@@ -114,3 +122,24 @@ def test_order_preserving_relabeling_keeps_every_outcome(mechanism):
         same = {x: x for x in m.values()}
         assert _renamed_view(run(_renamed(inst, m)), same) == _renamed_view(run(inst), m), \
             (seed, mechanism)
+
+
+def _with_pendant(inst: Instance, seed: int) -> Instance:
+    """inst plus agent "z", valued 0, with one edge to a seeded node that
+    costs the graph's total cost + 1."""
+    costs = inst.graph.edges()
+    anchor = random.Random(seed).choice(sorted(inst.graph.nodes))
+    edges = dict(costs)
+    edges[(anchor, "z")] = sum(costs.values()) + 1
+    return Instance(inst.source, sorted(inst.agents) + ["z"], edges,
+                    inst.valuations | {"z": 0})
+
+
+@pytest.mark.parametrize("mechanism", ["cvm", "rsm"])
+def test_an_unaffordable_pendant_agent_changes_nothing(mechanism):
+    run = MECHANISMS[mechanism]
+    for seed in range(300):
+        inst = generate_instance(agents=1 + seed % 7, edge_probability=0.5, seed=seed)
+        base, grown = run(inst), run(_with_pendant(inst, seed))
+        assert grown.selected == base.selected, (seed, mechanism)
+        assert grown.shares == base.shares | {"z": 0}, (seed, mechanism)

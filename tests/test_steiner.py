@@ -116,6 +116,38 @@ def test_cost_table_indexes_subsets():
     assert table[0b11] == 5
 
 
+def _brute_superset_min(m):
+    top = len(m)
+    out = []
+    for T in range(top):
+        rest = (top - 1) & ~T
+        best, sub = m[T], rest
+        while sub:
+            best = min(best, m[T | sub])
+            sub = (sub - 1) & rest
+        out.append(best)
+    return out
+
+
+def test_superset_min_is_the_least_value_over_supersets():
+    """The transform against a direct minimum over supersets, for every
+    table length from 2^0 to 2^11: from 2^3 on, the early bits run as
+    strided slices and the late ones as contiguous runs. The values tie
+    often and include the solver's sentinel. The transform works in place
+    and returns its argument, which the root and node-set tables rely
+    on."""
+    import random
+
+    inf = SteinerSolver(TRIANGLE)._inf
+    rng = random.Random(0)
+    for bits in range(12):
+        m = [rng.choice((0, 1, 1, 2, 3, inf, inf)) for _ in range(1 << bits)]
+        want = _brute_superset_min(m)
+        got = SteinerSolver._superset_min(m)
+        assert got is m
+        assert got == want, bits
+
+
 def test_solver_vs_oracle_on_seeded_graphs():
     """Every terminal subset of size <= 3 on 40 seeded graphs; the oracle is
     the referee."""

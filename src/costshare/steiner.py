@@ -9,8 +9,9 @@ relays included, once per root, and one superset-min (zeta) transform over
 the node bits turns it into the cost of every set at once. The transform
 takes each bit in whole-slice passes, contiguous runs or strided ones,
 whichever needs fewer slice assignments. A terminal list's table is a
-projection of that array, which is what makes whole welfare tables cheap. A subset whose nodes cannot reach the root is
-infeasible, reported as None rather than a sentinel cost.
+projection of that array, which is what makes whole welfare tables cheap.
+A subset whose nodes cannot reach the root is infeasible, reported as None
+rather than a sentinel cost.
 
 Inside a solver everything is a plain int: edge costs are scaled once by
 the lcm of their denominators, ``solver.scale``, and an int sentinel above every real

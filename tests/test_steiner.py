@@ -131,7 +131,7 @@ def _brute_superset_min(m):
 
 def test_superset_min_is_the_least_value_over_supersets():
     """The transform against a direct minimum over supersets, for every
-    table length from 2^0 to 2^11: from 2^3 on, the early bits run as
+    table length from 2^0 to 2^11: from 2^2 on, the early bits run as
     strided slices and the late ones as contiguous runs. The values tie
     often and include the solver's sentinel. The transform works in place
     and returns its argument, which the root and node-set tables rely

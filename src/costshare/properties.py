@@ -409,15 +409,15 @@ def budget_balance_ratio(instance: Instance, mechanism,
 
 
 def welfare_ratio(instance: Instance, mechanism,
-                  cache: SteinerCache | None = None) -> Value:
+                  cache: SteinerCache | None = None) -> Value | None:
     """Welfare of the truthful outcome relative to the best reachable
-    welfare. Errors when the optimum is not positive (no instance-wide
+    welfare; None when the optimum is not positive (no instance-wide
     surplus to compare against)."""
     cache = cache or SteinerCache()
     _, profile, alloc = _outcome(mechanism, instance, cache)
     best, _ = _welfare_optimum(instance, profile, cache)
     if best <= 0:
-        raise ValidationError("the optimal welfare is not positive")
+        return None
     return exact_div(alloc.social_welfare, best)
 
 

@@ -33,11 +33,11 @@ deterministically. The values come from one of two sources:
 - a Dreyfus-Wagner run, about 3^k * n steps for k selected terminals on n
   nodes, for small selections;
 - node-set costs, for large ones. dp[mask][v] is the cost of the cheapest
-  tree spanning the node set terms(mask) + v. For a set holding the root
-  that is the root's table entry; for one without it, the cheaper of that
-  entry and a second superset-min transform over the spanning-tree costs of
-  the root-free node sets, about 2^(n-1) * E steps for E edges whatever k
-  is.
+  tree spanning the node set terms(mask) + v, kept per root in one list
+  over node sets whose root bit is set when the set holds the root. Such a
+  set costs its root-table entry; one without the root, the cheaper of that
+  entry and a second superset-min transform over the spanning-tree costs
+  of the root-free node sets, about 2^(n-1) * E steps for E edges.
 
 ``_node_sets_pay`` compares the two step counts with one measured constant.
 The sources agree on every value below the sentinel, and the reconstruction
@@ -139,15 +139,16 @@ class SteinerSolver:
             costs = {e: int(c * scale) for e, c in costs.items()}
         self._inf = sum(costs.values()) + 1
         self._edges = sorted((c, self._idx[u], self._idx[v]) for (u, v), c in costs.items())
-        self._dist = self._nxt = None
-        self._roots: dict[int, list[int]] = {}  # see _node_set_costs
+        self._paths = None
+        self._roots: dict[int, list[int]] = {}
+        self._node_sets: dict[int, list[int]] = {}
         self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
 
-    def _shortest_paths(self) -> list[list[int]]:
-        """All-pairs shortest distances, with next hops in ``_nxt``;
-        computed on first use and kept."""
-        if self._dist is not None:
-            return self._dist
+    def _shortest_paths(self) -> tuple[list[list[int]], list[list[int]]]:
+        """All-pairs shortest distances and next hops, (dist, nxt); computed
+        on first use and kept."""
+        if self._paths is not None:
+            return self._paths
         n, inf = self._n, self._inf
         dist = [[inf] * n for _ in range(n)]
         nxt = [[None] * n for _ in range(n)]
@@ -171,14 +172,15 @@ class SteinerSolver:
                     if alt < di[j]:
                         di[j] = alt
                         ni[j] = ni[k]
-        self._dist, self._nxt = dist, nxt
-        return dist
+        self._paths = dist, nxt
+        return self._paths
 
     def _path_edges(self, i: int, j: int) -> list[Edge]:
+        nxt = self._shortest_paths()[1]
         edges = []
         hops = 0
         while i != j:
-            k = self._nxt[i][j]
+            k = nxt[i][j]
             edges.append(edge_key(self._labels[i], self._labels[k]))
             i = k
             hops += 1
@@ -264,69 +266,51 @@ class SteinerSolver:
             step = span
         return m
 
-    def _subset_mst_table(self, root: int) -> list[int]:
-        """best[T] for every set T of non-root nodes: the cheapest tree
-        joining the root to T, ``_inf`` when no tree does. Node bits are
-        those of ``_positions``, without the root's.
+    def _root_table(self, root: int) -> list[int]:
+        """best[T], built on first use, for every set T of non-root nodes:
+        the cheapest tree joining the root to T, ``_inf`` when no tree does.
+        Node bits are those of ``_positions``, without the root's.
 
         First m[T] is the cost of a spanning tree of G[T + root]. A minimum
         Steiner tree spans its own node set, so best[T] is the least m over
         the supersets of T: one superset-min (zeta) transform over the
         bits."""
-        top = 1 << (self._n - 1)
-        return self._superset_min(self._spanning_costs(self._root_edges(root), top, top))
-
-    def _root_table(self, root: int) -> list[int]:
-        """``_subset_mst_table(root)``, built on first use and kept; see
-        ``_node_set_costs`` for what it may grow into."""
         best = self._roots.get(root)
         if best is None:
-            best = self._roots[root] = self._subset_mst_table(root)
-        return best
-
-    def _node_set_costs(self, root: int) -> list[int]:
-        """The root's table extended in place to the cost of the cheapest
-        tree spanning each node set, ``_inf`` when none does. A set with
-        the root sits at the index of its other nodes, where the table
-        already holds its cost; a set U without it sits at U | top, top
-        being the root's bit in ``_positions``. Indices below top, all
-        that ``cost_table`` reads, keep their values.
-
-        U is spanned either by a tree through the root, table[U], or by one
-        that avoids it, whose cost is a second superset-min transform over
-        the spanning-tree costs of the root-free node sets."""
-        best = self._root_table(root)
-        top = 1 << (self._n - 1)
-        if len(best) == top:
-            edges = [e for e in self._root_edges(root) if not e[3] & top]
-            free = self._superset_min(self._spanning_costs(edges, top, 0))
-            best += [a if a < b else b for a, b in zip(free, best)]
+            top = 1 << (self._n - 1)
+            m = self._spanning_costs(self._root_edges(root), top, top)
+            best = self._roots[root] = self._superset_min(m)
         return best
 
     def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> list[list[int]]:
         """The dp rows of a Dreyfus-Wagner run over ``terms``, read from
-        node-set costs: dp[mask][v] spans the node set terms(mask) + v."""
-        cost = self._node_set_costs(root)
-        pos = self._positions(root)
-        top = 1 << pos[root]
-        bits = [1 << b for b in pos]
-        bits[root] = 0
-        # sets[mask] is the index of terms(mask): the root clears the top
-        # bit, which marks a set without it.
-        sets = [top]
+        node-set costs: dp[mask][v] spans the node set terms(mask) + v.
+
+        cost[S], built once per root and kept, is the cheapest tree spanning
+        the node set S in the bits of ``_positions``, ``_inf`` when none
+        does. A set T | top with the root costs best[T]; a root-free set U
+        the cheaper of best[U] and a tree avoiding the root, whose cost is a
+        second superset-min transform over root-free spanning-tree costs."""
+        cost = self._node_sets.get(root)
+        if cost is None:
+            best = self._root_table(root)
+            top = len(best)
+            edges = [e for e in self._root_edges(root) if not e[3] & top]
+            free = self._superset_min(self._spanning_costs(edges, top, 0))
+            cost = [a if a < b else b for a, b in zip(free, best)] + best
+            self._node_sets[root] = cost
+        bits = [1 << b for b in self._positions(root)]
+        sets = [0]
         for t in terms:
-            sets += [s & ~top if t == root else s | bits[t] for s in sets]
-        rows = [[cost[s | b] for b in bits] for s in sets]
-        for row, s in zip(rows, sets):
-            row[root] = cost[s & (top - 1)]
-        return rows
+            sets += [s | bits[t] for s in sets]
+        return [[cost[s | b] for b in bits] for s in sets]
 
     def _dreyfus_wagner(self, terms: tuple[int, ...]) -> list:
         """dp[mask][v] for every nonempty terminal mask; mask 0 is handled
         by callers (cost 0, empty tree). Only values are kept: merging
         splits in any order gives the same minimum, and _collect_edges
         re-derives the choices of the few masks a witness needs."""
-        n, dist = self._n, self._shortest_paths()
+        n, dist = self._n, self._shortest_paths()[0]
         nodes = range(n)
         size = 1 << len(terms)
         dp: list = [None] * size
@@ -373,9 +357,10 @@ class SteinerSolver:
             terms = self._term_indices(terminal_labels)
             _check_terminal_count(len(terms))
             best = self._root_table(root)
+            pos = self._positions(root)
             masks = [0]
             for t in terms:
-                bit = 0 if t == root else 1 << (t - (t > root))
+                bit = 0 if t == root else 1 << pos[t]
                 masks += [s | bit for s in masks]
             inf = self._inf
             table = [c if c < inf else None for c in map(best.__getitem__, masks)]
@@ -408,7 +393,7 @@ class SteinerSolver:
             if not sub:
                 break
             sub = (sub - 1) & rest
-        dv = self._dist[v]
+        dv = self._shortest_paths()[0][v]
         u = min(range(n), key=lambda w: merged[w] + dv[w])
         acc.update(self._path_edges(u, v))
         part = split[u]
@@ -467,7 +452,6 @@ class SteinerSolver:
             dp = self._node_set_rows(root, chosen)
         else:
             dp = self._dreyfus_wagner(chosen)
-        self._shortest_paths()  # _collect_edges walks its next hops
         full = len(dp) - 1
         want = dp[full][root]
         if want >= self._inf:
@@ -486,11 +470,12 @@ class SteinerSolver:
 # the root-free half of the node-set costs, with its transform, costs about
 # 2^(n-1) * E (E edges). Timed on CPython 3.11.7 on a 2.1 GHz Xeon vCPU over
 # graphs of 6 to 13 nodes and 9 to 49 edges, one step of the second took
-# 1.4 to 5.6 times one step of the first, 2.6 at the median. At n = 12 and
-# E = 33 that keeps k = 8 on the DP (a 5 ms run against 12 ms of node sets)
-# and moves k = 9 to node sets (a 16 ms run against the same 12 ms). Those
-# timings predate the whole-slice transform passes, which made the node-set
-# side cheaper; the constant has not been re-tuned since.
+# 1.4 to 5.6 times one step of the first, 2.6 at the median. Re-checked after
+# the whole-slice transform passes on the 27 witness builds of the six
+# 11-agent benchmark documents (CPython 3.11.7, 2-vCPU Xeon, best of five,
+# root table built), the rule picked the faster source each time: up to
+# k = 7 a DP run took at most 2.2 ms against 0.01-6.3 ms of node sets; at
+# k = 9 and 11, node sets took 4.8-7.9 ms against 11.9-114 ms of DP.
 NODE_SET_STEP = 2.6
 
 

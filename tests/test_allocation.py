@@ -111,10 +111,11 @@ def test_staged_trace_builds_each_stage_tree_once(tree_calls):
 
 def test_welfare_ratio_of_selection_runs_one_dp(monkeypatch):
     """The selection's welfare and the optimum read the same cost table,
-    built from one subset-MST table under the source."""
-    roots = []
-    original = SteinerSolver._subset_mst_table
-    monkeypatch.setattr(SteinerSolver, "_subset_mst_table",
-                        lambda self, root: roots.append(root) or original(self, root))
+    built from one subset-MST table under the source: one pass of subset
+    spanning-tree costs."""
+    builds = []
+    original = SteinerSolver._spanning_costs
+    monkeypatch.setattr(SteinerSolver, "_spanning_costs",
+                        lambda self, *args: builds.append(args) or original(self, *args))
     welfare_ratio_of_selection(fig_welfare_gap(10), {"a"}, SteinerCache())
-    assert len(roots) == 1
+    assert len(builds) == 1

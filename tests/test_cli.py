@@ -188,6 +188,20 @@ def test_check_generated_corpus_exits_0(capsys):
     assert reports[0]["instances_checked"] == 5
 
 
+def test_welfare_ratio_sweep_records_null_for_no_positive_optimum(capsys):
+    """An instance whose optimal welfare is not positive has no welfare
+    ratio: the sweep records null for it, as bbr does, and keeps going."""
+    code = main(["check", "--property", "welfare-ratio", "--mechanism", "rsm",
+                 "--agents", "2", "--max-valuation", "3", "--count", "200"])
+    assert code == 0
+    [report] = json.loads(capsys.readouterr().out)
+    values = report["witness"]["values"]
+    assert report["verdict"] == "holds"
+    assert report["instances_checked"] == len(values) == 200
+    assert {"seed": 0, "value": None} in values
+    assert any(v["value"] is not None for v in values)
+
+
 def test_unknown_property_exits_2(capsys):
     assert main(["check", "--property", "nope", "--mechanism", "cvm"]) == 2
     assert main(["demo", "--name", "nope"]) == 2

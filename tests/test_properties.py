@@ -159,8 +159,7 @@ def test_welfare_ratio_collapse_family():
 def test_welfare_ratio_edge_cases():
     assert welfare_ratio(fig_line(), "cvm") == 1
     nothing = Instance("s", ["a"], {("s", "a"): 3}, {"a": 0})
-    with pytest.raises(ValidationError, match="not positive"):
-        welfare_ratio(nothing, "cvm")
+    assert welfare_ratio(nothing, "cvm") is None
     assert welfare_ratio_of_selection(fig_line(), {"a", "b"}) == 1
 
 

@@ -345,17 +345,16 @@ def _dw_table(solver, root, terms):
     return [0] + [row[r] if row[r] < solver._inf else None for row in dp[1:]]
 
 
-def test_subset_mst_table_matches_the_dreyfus_wagner_table():
-    """The table from subset spanning trees and a superset-min transform
-    equals the terminal-subset DP's on seeded graphs with relays (terminal
-    lists that leave nodes out, in shuffled order), mixed denominators,
-    zero-cost edges, hidden edges that disconnect subsets, and the
-    contracted stage graphs of RSM runs."""
+def _seeded_stage_graphs():
+    """(seed, rng, source, graph, contracted) for the graphs of 60 seeded
+    runs: each instance's induced graph, then the contracted stage graphs of
+    its RSM run. Costs have mixed denominators and zero-cost edges, and
+    agents hide edges, which can disconnect subsets. The rng continues from
+    building the graph, so callers draw from it in the same order."""
     import random
 
     from costshare import ReportProfile, AgentReport, run_rsm
 
-    seen = {"relay": 0, "scaled": 0, "zero": 0, "infeasible": 0, "contracted": 0}
     for seed in range(60):
         rng = random.Random(seed)
         base = generate_instance(agents=4 + seed % 5, edge_probability=0.5,
@@ -376,21 +375,32 @@ def test_subset_mst_table_matches_the_dreyfus_wagner_table():
             merged |= record.selected
             graphs.append(cache.contracted(graph, merged, inst.source))
         for g in graphs:
-            seen["contracted"] += g is not graph
-            seen["zero"] += 0 in g.edges().values()
-            solver = SteinerSolver(g)
-            seen["scaled"] += solver.scale > 1
-            nodes = sorted(g.nodes)
-            if len(nodes) < 2:
-                continue
-            for root in dict.fromkeys((inst.source, rng.choice(nodes))):
-                others = [v for v in nodes if v != root]
-                picked = rng.sample(others, rng.randint(1, len(others)))
-                for terms in (tuple(others), tuple(picked)):
-                    table = solver.cost_table(root, terms)
-                    assert table == _dw_table(solver, root, terms), (seed, root, terms)
-                    seen["relay"] += len(terms) < len(others)
-                    seen["infeasible"] += None in table
+            yield seed, rng, inst.source, g, g is not graph
+
+
+def test_subset_mst_table_matches_the_dreyfus_wagner_table():
+    """The table from subset spanning trees and a superset-min transform
+    equals the terminal-subset DP's on seeded graphs with relays (terminal
+    lists that leave nodes out, in shuffled order), mixed denominators,
+    zero-cost edges, hidden edges that disconnect subsets, and the
+    contracted stage graphs of RSM runs."""
+    seen = {"relay": 0, "scaled": 0, "zero": 0, "infeasible": 0, "contracted": 0}
+    for seed, rng, source, g, contracted in _seeded_stage_graphs():
+        seen["contracted"] += contracted
+        seen["zero"] += 0 in g.edges().values()
+        solver = SteinerSolver(g)
+        seen["scaled"] += solver.scale > 1
+        nodes = sorted(g.nodes)
+        if len(nodes) < 2:
+            continue
+        for root in dict.fromkeys((source, rng.choice(nodes))):
+            others = [v for v in nodes if v != root]
+            picked = rng.sample(others, rng.randint(1, len(others)))
+            for terms in (tuple(others), tuple(picked)):
+                table = solver.cost_table(root, terms)
+                assert table == _dw_table(solver, root, terms), (seed, root, terms)
+                seen["relay"] += len(terms) < len(others)
+                seen["infeasible"] += None in table
     assert min(seen.values()) >= 50, seen
 
 
@@ -437,64 +447,41 @@ def test_node_set_values_match_the_dreyfus_wagner_values(monkeypatch):
     that disconnect subsets, roots other than the source, and the
     contracted stage graphs of RSM runs. Forcing either source builds the
     same witness tree."""
-    import random
-
-    from costshare import ReportProfile, AgentReport, run_rsm
-
     seen = {"relay": 0, "scaled": 0, "zero": 0, "infeasible": 0,
             "other_root": 0, "contracted": 0, "forced": 0}
-    for seed in range(60):
-        rng = random.Random(seed)
-        base = generate_instance(agents=4 + seed % 5, edge_probability=0.5,
-                                 max_cost=6, seed=seed)
-        inst = Instance(base.source, sorted(base.agents),
-                        {e: Fraction(c, rng.choice((1, 1, 2, 3, 4, 6)))
-                         for e, c in base.graph.edges().items()},
-                        base.valuations)
-        profile = ReportProfile(inst, {
-            a: AgentReport(frozenset(e for e in sorted(inst.true_edges_of(a))
-                                     if rng.random() < 0.8), inst.valuations[a])
-            for a in inst.agent_order()})
-        cache = SteinerCache()
-        graph = cache.induced(profile)
-        graphs = [graph]
-        merged = {inst.source}
-        for record in run_rsm(inst, profile, cache).stage_trace:
-            merged |= record.selected
-            graphs.append(cache.contracted(graph, merged, inst.source))
-        for g in graphs:
-            nodes = sorted(g.nodes)
-            if len(nodes) < 2:
-                continue
-            seen["contracted"] += g is not graph
-            seen["zero"] += 0 in g.edges().values()
-            for root_label in dict.fromkeys((inst.source, rng.choice(nodes))):
-                solver = SteinerSolver(g)
-                seen["scaled"] += solver.scale > 1
-                seen["other_root"] += root_label != inst.source
-                labels = tuple(rng.sample(nodes, rng.randint(1, len(nodes))))
-                seen["relay"] += not g.nodes <= {root_label, *labels}
-                terms = tuple(solver._idx[t] for t in labels)
-                root, inf = solver._idx[root_label], solver._inf
-                dw = solver._dreyfus_wagner(terms)
-                rows = solver._node_set_rows(root, terms)
-                assert len(rows) == len(dw)
-                for mask in range(1, len(dw)):
-                    want = [min(c, inf) for c in dw[mask]]
-                    assert rows[mask] == want, (seed, root_label, labels, mask)
-                seen["infeasible"] += any(c >= inf for row in dw[1:] for c in row)
-                table = solver.cost_table(root_label, labels)
-                for mask in rng.sample(range(1, len(dw)), min(len(dw) - 1, 4)):
-                    if table[mask] is None:
-                        continue
-                    trees = set()
-                    for force in (False, True):
-                        monkeypatch.setattr(steiner, "_node_sets_pay",
-                                            lambda k, n, e, force=force: force)
-                        trees.add(SteinerSolver(g).tree_for_mask(root_label, labels, mask))
-                    monkeypatch.undo()
-                    assert len(trees) == 1, (seed, root_label, labels, mask)
-                    seen["forced"] += 1
+    for seed, rng, source, g, contracted in _seeded_stage_graphs():
+        nodes = sorted(g.nodes)
+        if len(nodes) < 2:
+            continue
+        seen["contracted"] += contracted
+        seen["zero"] += 0 in g.edges().values()
+        for root_label in dict.fromkeys((source, rng.choice(nodes))):
+            solver = SteinerSolver(g)
+            seen["scaled"] += solver.scale > 1
+            seen["other_root"] += root_label != source
+            labels = tuple(rng.sample(nodes, rng.randint(1, len(nodes))))
+            seen["relay"] += not g.nodes <= {root_label, *labels}
+            terms = tuple(solver._idx[t] for t in labels)
+            root, inf = solver._idx[root_label], solver._inf
+            dw = solver._dreyfus_wagner(terms)
+            rows = solver._node_set_rows(root, terms)
+            assert len(rows) == len(dw)
+            for mask in range(1, len(dw)):
+                want = [min(c, inf) for c in dw[mask]]
+                assert rows[mask] == want, (seed, root_label, labels, mask)
+            seen["infeasible"] += any(c >= inf for row in dw[1:] for c in row)
+            table = solver.cost_table(root_label, labels)
+            for mask in rng.sample(range(1, len(dw)), min(len(dw) - 1, 4)):
+                if table[mask] is None:
+                    continue
+                trees = set()
+                for force in (False, True):
+                    monkeypatch.setattr(steiner, "_node_sets_pay",
+                                        lambda k, n, e, force=force: force)
+                    trees.add(SteinerSolver(g).tree_for_mask(root_label, labels, mask))
+                monkeypatch.undo()
+                assert len(trees) == 1, (seed, root_label, labels, mask)
+                seen["forced"] += 1
     assert min(seen.values()) >= 50, seen
 
 

@@ -13,8 +13,8 @@ ints or fractions.Fraction throughout, never floats.
 
 from .allocation import Allocation, StageRecord
 from .baselines import run_bird
-from .cvm import critical_value, run_cvm
-from .documents import load_document, parse_instance, serialize_instance
+from .cvm import run_cvm
+from .documents import load_document, serialize_instance
 from .model import (AgentReport, Edge, Instance, ReportProfile, SizeCapError,
                     ValidationError, Value, WeightedGraph, apply_deviation,
                     as_value, edge_key, exact_div, induced_graph,
@@ -42,10 +42,10 @@ __all__ = [
     "check_budget_balance", "check_efficiency", "check_feasibility",
     "check_individual_rationality", "check_positiveness", "check_ranking",
     "check_symmetry", "check_truthfulness", "check_utility_monotonicity",
-    "compute_delta_table", "critical_value", "edge_key",
+    "compute_delta_table", "edge_key",
     "enumerate_deviations", "exact_div", "generate_instance",
     "induced_graph", "load_document", "make_twin_instance",
-    "parse_instance", "run_bird", "run_cvm", "run_rsm",
+    "run_bird", "run_cvm", "run_rsm",
     "serialize_instance", "social_welfare", "truthful_profile",
     "value_to_json", "welfare_ratio", "welfare_ratio_of_selection",
 ]

@@ -16,8 +16,7 @@ payments cover at most the tree cost; they are not meant to balance it.
 from __future__ import annotations
 
 from .allocation import Allocation
-from .model import (Instance, ReportProfile, ValidationError, Value, run_profile,
-                    unscale)
+from .model import Instance, ReportProfile, run_profile, unscale
 from .steiner import SteinerCache
 from .welfare import WelfareTable, compute_delta_table
 
@@ -27,21 +26,6 @@ def _scaled_critical_value(table: WelfareTable, g_mask: int, bit: int) -> int:
     alternative = table.scaled_sw_delta[rest]
     contribution = table.scaled_value_sums[rest] - table.scaled_costs[g_mask]
     return alternative - contribution
-
-
-def critical_value(table: WelfareTable, i: str) -> Value:
-    """Critical value of a selected agent, read off a full welfare table.
-
-    The welfare recurrence only ever consults subsets, so entries of the
-    full table double as the recurrence over the reduced ground set.
-    """
-    if i not in table.agents:
-        raise ValidationError(f"{i!r} is not an agent of this table")
-    g_mask = table.delta_masks[table.full_mask]
-    bit = 1 << table.agents.index(i)
-    if not g_mask & bit:
-        raise ValidationError(f"agent {i!r} is not selected, it has no critical value")
-    return unscale(_scaled_critical_value(table, g_mask, bit), table.scale)
 
 
 def run_cvm(instance: Instance, profile: ReportProfile | None = None,

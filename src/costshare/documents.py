@@ -18,18 +18,22 @@ at most MAX_NUMBER_DIGITS decimal digits, a number string may be at most
 MAX_NUMBER_TEXT characters long, and its decimal exponent at most
 MAX_EXPONENT in size. Exact arithmetic slows down without bound as numbers
 grow, and the exponent is checked before any value is built, so "1e99999"
-is refused at once. Node labels are strings.
+is refused at once. Node labels are strings, and no key may repeat within
+one JSON object.
 Serialization is deterministic (sorted keys and edge lists), so equal
-instances produce byte-identical documents.
+instances produce byte-identical documents. Witnesses write reports in the
+reports field's form, so they replay through ``load_document``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 from .model import (AgentReport, Instance, ReportProfile, ValidationError,
-                    as_value, edge_key, truthful_profile, value_to_json)
+                    as_value, edge_key, run_profile, truthful_profile,
+                    value_to_json)
 
 MAX_NUMBER_DIGITS = 30
 MAX_NUMBER_TEXT = 4 * MAX_NUMBER_DIGITS
@@ -71,9 +75,18 @@ def _label(x, what: str) -> str:
     return x
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object, refused when a key repeats: json alone keeps the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValidationError(f"the key {key!r} is repeated in one JSON object")
+    return obj
+
+
 def _parse_document(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"document is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -84,12 +97,6 @@ def _parse_document(text: str) -> dict:
         if field not in doc:
             raise ValidationError(f"document is missing the {field!r} field")
     return doc
-
-
-def parse_instance(text: str) -> Instance:
-    """Parse an instance document, ignoring any reports field."""
-    doc = _parse_document(text)
-    return _instance_from(doc)
 
 
 def _instance_from(doc: dict) -> Instance:
@@ -146,8 +153,23 @@ def load_document(text: str) -> tuple[Instance, ReportProfile]:
     return instance, ReportProfile(instance, reports)
 
 
+def report_to_json(report: AgentReport) -> dict:
+    """The document form of one agent's report."""
+    return {"edges": [list(e) for e in sorted(report.edges)],
+            "valuation": value_to_json(report.valuation)}
+
+
+def lies_to_json(profile: ReportProfile) -> dict:
+    """The document form of every report that differs from the truthful
+    one, keyed by agent in label order."""
+    inst = profile.instance
+    return {i: report_to_json(r) for i, r in sorted(profile.reports.items())
+            if r.edges != inst.true_edges_of(i) or r.valuation != inst.valuations[i]}
+
+
 def serialize_instance(instance: Instance, profile: ReportProfile | None = None) -> str:
-    """Deterministic JSON text for an instance (optionally with reports)."""
+    """Deterministic JSON text for an instance (optionally with reports).
+    Errors when the profile was made for another instance."""
     doc = {
         "source": instance.source,
         "agents": sorted(instance.agents),
@@ -156,11 +178,7 @@ def serialize_instance(instance: Instance, profile: ReportProfile | None = None)
         "valuations": {a: value_to_json(v)
                        for a, v in sorted(instance.valuations.items())},
     }
-    if profile is not None and not profile.is_truthful():
-        doc["reports"] = {
-            i: {"edges": [list(e) for e in sorted(r.edges)],
-                "valuation": value_to_json(r.valuation)}
-            for i, r in sorted(profile.reports.items())
-            if r.edges != instance.true_edges_of(i) or r.valuation != instance.valuations[i]
-        }
+    lies = {} if profile is None else lies_to_json(run_profile(instance, profile))
+    if lies:
+        doc["reports"] = lies
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

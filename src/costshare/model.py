@@ -248,11 +248,6 @@ class ReportProfile:
     def reported_valuations(self) -> dict[str, Value]:
         return {i: r.valuation for i, r in self.reports.items()}
 
-    def is_truthful(self) -> bool:
-        inst = self.instance
-        return all(r.edges == inst.true_edges_of(i) and r.valuation == inst.valuations[i]
-                   for i, r in self.reports.items())
-
 
 def _check_declaration(instance: Instance, i: str, report: AgentReport) -> None:
     if not report.edges <= instance.true_edges_of(i):

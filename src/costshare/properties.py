@@ -30,9 +30,10 @@ from typing import Callable, NamedTuple
 
 from .baselines import run_bird
 from .cvm import run_cvm
+from .documents import lies_to_json, report_to_json
 from .model import (AgentReport, Instance, ReportProfile, SizeCapError,
                     ValidationError, Value, _unchecked_profile, as_value,
-                    apply_deviation, edge_key, exact_div, truthful_profile,
+                    apply_deviation, exact_div, truthful_profile,
                     value_to_json)
 from .rsm import run_rsm
 from .steiner import SteinerCache
@@ -80,16 +81,6 @@ def _resolve(mechanism):
     if mechanism not in MECHANISMS:
         raise ValidationError(f"unknown mechanism {mechanism!r}")
     return mechanism, MECHANISMS[mechanism]
-
-
-def report_to_json(report: AgentReport) -> dict:
-    return {"edges": [list(e) for e in sorted(report.edges)],
-            "valuation": value_to_json(report.valuation)}
-
-
-def report_from_json(doc: dict) -> AgentReport:
-    return AgentReport(frozenset(edge_key(u, v) for u, v in doc["edges"]),
-                       as_value(doc["valuation"]))
 
 
 def valuation_grid(instance: Instance, i: str, step: Value = HALF) -> list[Value]:
@@ -152,15 +143,6 @@ def _outcome(mechanism, target, cache: SteinerCache | None):
     return name, profile, runner(profile.instance, profile, cache or SteinerCache())
 
 
-def _profile_note(profile: ReportProfile) -> dict:
-    """Witness fragment naming any non-truthful reports, so a violation on a
-    deviated profile can be replayed from the witness alone."""
-    inst = profile.instance
-    lies = {i: report_to_json(r) for i, r in sorted(profile.reports.items())
-            if r != AgentReport(inst.true_edges_of(i), inst.valuations[i])}
-    return {"reports": lies} if lies else {}
-
-
 def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
                        cache: SteinerCache | None = None) -> PropertyReport:
     """No single agent can raise its utility by misreporting, over the full
@@ -196,7 +178,10 @@ def _pointwise(prop: str, find_witness, target, mechanism,
     name, profile, alloc = _outcome(mechanism, target, cache)
     witness = find_witness(profile, alloc)
     if witness is not None:
-        witness.update(_profile_note(profile))
+        # Name any non-truthful reports, so the witness alone replays it.
+        lies = lies_to_json(profile)
+        if lies:
+            witness["reports"] = lies
     return _report(prop, name, witness, 1)
 
 
@@ -365,25 +350,16 @@ def check_ranking(instance: Instance, mechanism, i: str, j: str,
     return _check_twins(True, instance, mechanism, i, j, cache)
 
 
-def check_utility_monotonicity(instance: Instance, mechanism, edge=None,
-                               delta: Value = 1,
+def check_utility_monotonicity(instance: Instance, mechanism,
                                cache: SteinerCache | None = None) -> PropertyReport:
-    """Raising the cost of an edge never helps the agents at its endpoints,
-    comparing truthful runs before and after. Checks one edge, or every
-    edge when none is given."""
-    delta = as_value(delta)
-    if delta < 0:
-        raise ValidationError("cost increase must be nonnegative")
+    """Raising the cost of an edge by 1 never helps the agents at its
+    endpoints, comparing truthful runs before and after, over every edge."""
     cache = cache or SteinerCache()
     name, _, base = _outcome(mechanism, instance, cache)
-    edges = ([edge_key(*edge)] if edge is not None
-             else sorted(instance.graph.edges()))
     checked = 0
-    for e in edges:
+    for e in sorted(instance.graph.edges()):
         costs = instance.graph.edges()
-        if e not in costs:
-            raise ValidationError(f"edge {e} is not part of the instance")
-        costs[e] = as_value(costs[e] + delta)
+        costs[e] += 1
         raised = Instance(instance.source, instance.agents, costs, instance.valuations)
         _, _, alloc = _outcome(mechanism, raised, cache)
         for i in e:
@@ -391,7 +367,7 @@ def check_utility_monotonicity(instance: Instance, mechanism, edge=None,
                 continue
             checked += 1
             if alloc.utilities[i] > base.utilities[i]:
-                witness = {"edge": list(e), "delta": value_to_json(delta), "agent": i,
+                witness = {"edge": list(e), "delta": 1, "agent": i,
                            "utility_before": value_to_json(base.utilities[i]),
                            "utility_after": value_to_json(alloc.utilities[i])}
                 return _report("utility-monotonicity", name, witness, checked)
@@ -451,7 +427,7 @@ PROPERTIES = {
     "efficiency": Property(
         "instance", lambda t, m, o, c: check_efficiency(t, m, c), cap=EFFICIENCY_CAP),
     "utility-monotonicity": Property(
-        "instance", lambda t, m, o, c: check_utility_monotonicity(t, m, cache=c)),
+        "instance", lambda t, m, o, c: check_utility_monotonicity(t, m, c)),
     "symmetry": Property(
         "twin", lambda t, m, o, c: check_symmetry(t[0], m, t[1], t[2], c)),
     "ranking": Property(

@@ -11,9 +11,8 @@ Predecessor ties go to the lexicographically smallest sorted label list,
 which for equal welfare means dropping the largest label.
 
 Because the recurrence for S only ever reads entries of subsets of S, the
-table restricted to any ground set agrees with a fresh run on that ground
-set; mechanisms rely on this to read delta over reduced agent pools from
-one full table.
+entry of S agrees with a fresh run over the agents of S alone; mechanisms
+rely on this to read delta over reduced agent pools from one table.
 
 The recurrence runs on ints. The solver's cost table is already scaled
 ints; ``scaled_to_ints`` lifts it and the reported valuations to one common
@@ -38,7 +37,7 @@ WELFARE_CAP = 12
 
 @dataclass(frozen=True)
 class WelfareTable:
-    """Full welfare recurrence output over one ground set of agents.
+    """Full welfare recurrence output over every agent of one profile.
 
     Masks index subsets of ``agents`` (sorted order, bit b is agents[b]).
     The ``scaled_*`` tuples hold the table as ints, every value multiplied
@@ -59,7 +58,7 @@ class WelfareTable:
         m = 0
         for a in S:
             if a not in idx:
-                raise ValidationError(f"{a!r} is not in the table's ground set")
+                raise ValidationError(f"{a!r} is not an agent of this table")
             m |= 1 << idx[a]
         return m
 
@@ -127,14 +126,11 @@ def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
         for mask in range(1, 1 << n))
 
 
-def compute_delta_table(profile: ReportProfile, cache: SteinerCache | None = None,
-                        ground=None) -> WelfareTable:
-    """Run the welfare recurrence over all subsets of the ground set
-    (default: every agent) for one report profile."""
+def compute_delta_table(profile: ReportProfile,
+                        cache: SteinerCache | None = None) -> WelfareTable:
+    """Run the welfare recurrence over every agent subset of one profile."""
     inst = profile.instance
-    agents = tuple(sorted(ground)) if ground is not None else inst.agent_order()
-    if not frozenset(agents) <= inst.agents:
-        raise ValidationError("ground set must consist of agents")
+    agents = inst.agent_order()
     check_welfare_cap(len(agents))
     cache = cache or SteinerCache()
     solver = cache.solver(cache.induced(profile))

@@ -4,26 +4,26 @@ a run lists every criterion with its verdict; the assertions themselves are
 exact (integer / Fraction comparisons), never approximate.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
 
 from costshare import (SteinerCache, SteinerSolver, WeightedGraph,
-                       apply_deviation, brute_force_steiner_oracle,
-                       budget_balance_ratio, check_budget_balance,
-                       check_efficiency, check_feasibility,
-                       check_individual_rationality, check_positiveness,
-                       check_ranking, check_symmetry, check_truthfulness,
-                       check_utility_monotonicity, compute_delta_table,
-                       critical_value, edge_key, exact_div, generate_instance,
-                       make_twin_instance, run_bird, run_cvm, run_rsm,
+                       brute_force_steiner_oracle, budget_balance_ratio,
+                       check_budget_balance, check_efficiency,
+                       check_feasibility, check_individual_rationality,
+                       check_positiveness, check_ranking, check_symmetry,
+                       check_truthfulness, check_utility_monotonicity,
+                       compute_delta_table, edge_key, exact_div,
+                       generate_instance, load_document, make_twin_instance,
+                       run_bird, run_cvm, run_rsm, serialize_instance,
                        truthful_profile, welfare_ratio_of_selection)
 from costshare.fixtures import (corpus_inefficiency, fig_bird_square,
                                 fig_line, fig_service_tree,
                                 fig_staged_network, fig_triangle,
                                 fig_welfare_gap, fig_zero_bridge)
-from costshare.properties import report_from_json
 
 
 def test_criterion_01_delta_table_worked_example():
@@ -49,8 +49,7 @@ def test_criterion_02_critical_value_arithmetic():
     assert sum(inst.valuations[j] for j in others) == 9 + 6 + 7
     alloc = run_cvm(inst, cache=cache)
     assert alloc.total_cost == 26
-    assert critical_value(table, "a") == (9 - 7) - (9 + 6 + 7 - 26) == 6
-    assert alloc.shares["a"] == 6
+    assert alloc.shares["a"] == (9 - 7) - (9 + 6 + 7 - 26) == 6
 
 
 def test_criterion_03_free_riders_by_substitution():
@@ -109,9 +108,11 @@ def test_criterion_06_attachment_rule_edge_cut():
     assert rep.witness["report"]["edges"] == [["b", "c"]]
     assert rep.witness["truthful_utility"] == 7
     assert rep.witness["deviation_utility"] == 8
-    deviated = apply_deviation(truthful_profile(inst), "b",
-                               report_from_json(rep.witness["report"]))
-    assert run_bird(inst, deviated).shares["b"] == 2
+    # replay: the witness report goes into a document's reports field
+    doc = json.loads(serialize_instance(inst))
+    doc["reports"] = {"b": rep.witness["report"]}
+    replayed, deviated = load_document(json.dumps(doc))
+    assert run_bird(replayed, deviated).shares["b"] == 2
 
 
 def test_criterion_07_three_stage_trace():
@@ -185,7 +186,7 @@ def _run_check(prop: str, inst, mech: str, cache: SteinerCache):
         return check_efficiency(inst, mech, cache)
     if prop == "positiveness":
         return check_positiveness(inst, mech, cache)
-    return check_utility_monotonicity(inst, mech, delta=1, cache=cache)
+    return check_utility_monotonicity(inst, mech, cache)
 
 
 def test_criterion_09_property_sweep_on_seeded_corpus():

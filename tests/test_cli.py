@@ -78,12 +78,24 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     ({"edges": [{"u": "s", "v": "a", "cost": 1}, {"u": "a", "v": "x", "cost": 1}]},
      "edge ('a', 'x') has an undeclared endpoint"),
     ({"valuations": {"a": -1}}, "negative valuation for agent 'a'"),
+    # json keeps the last of repeated keys; a document may not repeat one
+    pytest.param('{"source": "s", "agents": ["a"], "valuations": {"a": 2}, '
+                 '"edges": [{"u": "s", "v": "a", "cost": 2, "cost": 9}]}',
+                 "the key 'cost' is repeated in one JSON object", id="repeated-cost"),
+    pytest.param('{"source": "s", "agents": ["a"], "valuations": {"a": 1, "a": 7}, '
+                 '"edges": [{"u": "s", "v": "a", "cost": 1}]}',
+                 "the key 'a' is repeated in one JSON object", id="repeated-valuation"),
+    pytest.param('{"source": "a", "source": "s", "agents": ["a"], "valuations": {"a": 2}, '
+                 '"edges": [{"u": "s", "v": "a", "cost": 1}]}',
+                 "the key 'source' is repeated in one JSON object", id="repeated-source"),
 ])
 def test_malformed_input_exits_2_with_a_true_message(tmp_path, capsys, patch, message):
+    """A patch is a dict of fields to replace or, where the JSON cannot be
+    written from a dict, the whole document text."""
     doc = {"source": "s", "agents": ["a"], "edges": [{"u": "s", "v": "a", "cost": 1}],
            "valuations": {"a": 2}}
-    doc.update(patch)
-    path = _write(tmp_path, "bad.json", json.dumps(doc))
+    text = patch if isinstance(patch, str) else json.dumps({**doc, **patch})
+    path = _write(tmp_path, "bad.json", text)
     assert main(["solve", "--input", path, "--mechanism", "cvm"]) == 2
     err = capsys.readouterr().err
     assert message in err
@@ -215,9 +227,9 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert main(["gen", "--agents", "5", "--seed", "7", "--out", b]) == 0
     capsys.readouterr()
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
-    from costshare.documents import parse_instance
+    from costshare.documents import load_document
 
-    inst = parse_instance((tmp_path / "one.json").read_text(encoding="utf-8"))
+    inst = load_document((tmp_path / "one.json").read_text(encoding="utf-8"))[0]
     assert len(inst.agents) == 5
 
 

@@ -1,15 +1,18 @@
 """The critical-value mechanism."""
 
-import pytest
+from fractions import Fraction
+from math import lcm
+
 from hypothesis import given, settings, strategies as st
 
-from costshare import (Instance, ValidationError, check_budget_balance,
-                       check_efficiency, check_truthfulness,
-                       generate_instance, run_cvm, truthful_profile)
-from costshare.cvm import critical_value
+from costshare import (AgentReport, Instance, SteinerCache, apply_deviation,
+                       check_budget_balance, check_efficiency,
+                       check_truthfulness, generate_instance, run_cvm,
+                       truthful_profile)
 from costshare.welfare import compute_delta_table
 from costshare.fixtures import (fig_line, fig_service_tree, fig_triangle,
                                 fig_zero_bridge)
+from golden_solve import corpus
 
 
 def test_triangle_allocation_frozen():
@@ -40,7 +43,7 @@ def test_critical_value_identity_on_the_hub():
     rest = {"b", "c", "d"}
     assert table.delta_of(rest) == frozenset({"b"})
     assert table.sw_delta_of(rest) == 2
-    assert critical_value(table, "a") == (9 - 7) - (9 + 6 + 7 - 26) == 6
+    assert run_cvm(fig_service_tree()).shares["a"] == (9 - 7) - (9 + 6 + 7 - 26) == 6
 
 
 def test_line_runs_a_deficit():
@@ -67,18 +70,6 @@ def test_empty_selection_is_legal():
     assert alloc.total_cost == 0
     assert alloc.tree_edges == frozenset()
     assert alloc.total_shares() == 0
-
-
-def test_critical_value_rejects_bad_agents():
-    table = compute_delta_table(truthful_profile(fig_triangle()))
-    with pytest.raises(ValidationError, match="not an agent"):
-        critical_value(table, "zz")
-    # b is unselected on the line fixture's reduced table
-    line_table = compute_delta_table(
-        truthful_profile(fig_line(m=2, n=30, v_a=4, v_b=10)))
-    assert line_table.delta_of({"a", "b"}) == frozenset({"a"})
-    with pytest.raises(ValidationError, match="not selected"):
-        critical_value(line_table, "b")
 
 
 def test_unselected_agents_get_zero_rows():
@@ -109,3 +100,27 @@ def test_charges_stay_within_reports_and_welfare_is_optimal(seed):
         if i not in alloc.selected:
             assert alloc.shares[i] == 0
     assert check_efficiency(inst, "cvm").holds
+
+
+def test_shares_are_critical_values_by_definition():
+    """Each selected agent's share x is the least valuation at which it is
+    still selected, all else truthful: reporting x + 1/L keeps it selected,
+    and x - 1/L drops it when x > 0, where 1/L is the finest unit among the
+    instance's costs and valuations. At exactly x a welfare tie may go
+    either way, so x itself is not asserted."""
+    for seed, inst in corpus():
+        unit = Fraction(1, lcm(*(Fraction(x).denominator for x in (
+            *inst.graph.edges().values(), *inst.valuations.values()))))
+        cache = SteinerCache()
+        truthful = truthful_profile(inst)
+        alloc = run_cvm(inst, cache=cache)
+
+        def selected_at(i, v):
+            report = AgentReport(inst.true_edges_of(i), v)
+            return i in run_cvm(inst, apply_deviation(truthful, i, report), cache).selected
+
+        for i in sorted(alloc.selected):
+            x = alloc.shares[i]
+            assert selected_at(i, x + unit), (seed, i)
+            if x > 0:
+                assert not selected_at(i, x - unit), (seed, i)

@@ -6,10 +6,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from costshare import ValidationError, serialize_instance, truthful_profile
-from costshare.documents import (MAX_NUMBER_DIGITS, load_document,
-                                 parse_instance)
-from costshare.fixtures import fig_triangle
+from costshare import (AgentReport, ValidationError, apply_deviation,
+                       serialize_instance, truthful_profile)
+from costshare.documents import MAX_NUMBER_DIGITS, load_document
+from costshare.fixtures import fig_line, fig_triangle
 
 
 def _doc(**overrides):
@@ -30,7 +30,7 @@ def _doc(**overrides):
 def test_parse_instance_reads_exact_numbers():
     from fractions import Fraction
 
-    inst = parse_instance(_doc())
+    inst = load_document(_doc())[0]
     assert inst.graph.cost("a", "b") == Fraction(3, 2)
     assert inst.valuations["b"] == Fraction(1, 2)
 
@@ -39,14 +39,14 @@ def test_parse_rejects_floats_with_guidance():
     bad = _doc(edges=[{"u": "s", "v": "a", "cost": 1.5},
                       {"u": "s", "v": "b", "cost": 1}])
     with pytest.raises(ValidationError, match='use an int or a string like "3/2"'):
-        parse_instance(bad)
+        load_document(bad)
 
 
 def test_parse_rejects_garbage_and_missing_fields():
     with pytest.raises(ValidationError, match="not valid JSON"):
-        parse_instance("{nope")
+        load_document("{nope")
     with pytest.raises(ValidationError, match="missing the 'source' field"):
-        parse_instance(json.dumps({"agents": [], "edges": [], "valuations": {}}))
+        load_document(json.dumps({"agents": [], "edges": [], "valuations": {}}))
 
 
 def test_load_document_defaults_missing_reports_to_truthful():
@@ -61,7 +61,7 @@ def test_load_document_defaults_missing_reports_to_truthful():
 def test_serialize_round_trips_and_is_deterministic():
     inst = fig_triangle()
     text = serialize_instance(inst)
-    again = parse_instance(text)
+    again = load_document(text)[0]
     assert again.graph == inst.graph
     assert again.valuations == inst.valuations
     assert serialize_instance(again) == text
@@ -77,11 +77,20 @@ def test_serialize_carries_reports():
     assert inst2.graph == inst.graph
 
 
+def test_serialize_rejects_a_profile_of_another_instance():
+    """A foreign profile would write its reports into this instance's
+    document, where they read as a different, valid profile."""
+    triangle = fig_triangle()
+    hidden = apply_deviation(truthful_profile(triangle), "b", AgentReport(frozenset(), 3))
+    with pytest.raises(ValidationError, match="belongs to another instance"):
+        serialize_instance(fig_line(), hidden)
+
+
 def test_non_string_labels_are_rejected():
     with pytest.raises(ValidationError, match="source must be a string label"):
-        parse_instance(_doc(source=5))
+        load_document(_doc(source=5))
     with pytest.raises(ValidationError, match="edge endpoint must be a string label"):
-        parse_instance(_doc(edges=[{"u": "s", "v": 1, "cost": 2}]))
+        load_document(_doc(edges=[{"u": "s", "v": 1, "cost": 2}]))
     doc = json.loads(_doc())
     for bad in ([["a", 1]], ["sa"], [["s", "a", "b"]], "sa", [{"u": "s"}]):
         doc["reports"] = {"a": {"edges": bad, "valuation": 1}}
@@ -92,14 +101,14 @@ def test_non_string_labels_are_rejected():
 @pytest.mark.parametrize("bad", [None, [1], {"n": 1}, True])
 def test_non_numbers_are_not_called_floats(bad):
     with pytest.raises(ValidationError, match="malformed number") as info:
-        parse_instance(_doc(valuations={"a": bad, "b": 1}))
+        load_document(_doc(valuations={"a": bad, "b": 1}))
     assert "float" not in str(info.value)
 
 
 @pytest.mark.parametrize("bad", ["1_000", "1_0/3", "1_0e1_0"])
 def test_digit_group_underscores_are_malformed_on_every_python(bad):
     with pytest.raises(ValidationError, match="malformed number for valuation"):
-        parse_instance(_doc(valuations={"a": bad, "b": 1}))
+        load_document(_doc(valuations={"a": bad, "b": 1}))
 
 
 def test_number_size_is_capped_before_it_is_built():
@@ -108,20 +117,20 @@ def test_number_size_is_capped_before_it_is_built():
                 big, f"1/{big}", int(big), "1" * 5000):
         t0 = time.perf_counter()
         with pytest.raises(ValidationError, match="too large|out of range|characters long"):
-            parse_instance(_doc(valuations={"a": bad, "b": 1}))
+            load_document(_doc(valuations={"a": bad, "b": 1}))
         assert time.perf_counter() - t0 < 0.5
     edge = "9" * MAX_NUMBER_DIGITS
-    inst = parse_instance(_doc(valuations={"a": edge, "b": f"1/{edge}"}))
+    inst = load_document(_doc(valuations={"a": edge, "b": f"1/{edge}"}))[0]
     assert inst.valuations["a"] == int(edge)
-    assert parse_instance(_doc(valuations={"a": "25e-1", "b": 0})).valuations["a"] == 2.5
+    assert load_document(_doc(valuations={"a": "25e-1", "b": 0}))[0].valuations["a"] == 2.5
 
 
 def test_oversized_json_ints_are_a_validation_error():
     text = _doc().replace('"a": 3', '"a": ' + "7" * 5000)
     with pytest.raises(ValidationError):
-        parse_instance(text)
+        load_document(text)
     with pytest.raises(ValidationError):
-        parse_instance("[" * 100000)
+        load_document("[" * 100000)
 
 
 _json = st.recursive(

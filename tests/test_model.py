@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from costshare import (AgentReport, Instance, ReportProfile, ValidationError,
                        apply_deviation, as_value, edge_key, exact_div,
                        induced_graph, truthful_profile, value_to_json)
+from costshare.documents import lies_to_json
 from costshare.model import WeightedGraph
 
 
@@ -108,12 +109,12 @@ def test_induced_graph_needs_mutual_declaration():
                     {("s", "a"): 2, ("s", "b"): 4, ("a", "b"): 3},
                     {"a": 3, "b": 3})
     prof = truthful_profile(inst)
-    assert prof.is_truthful()
+    assert lies_to_json(prof) == {}
     assert induced_graph(prof).edges() == inst.graph.edges()
 
     # b hides everything: (a,b) needs both endpoints, (s,b) needs only b
     hidden = apply_deviation(prof, "b", AgentReport(frozenset(), 3))
-    assert not hidden.is_truthful()
+    assert lies_to_json(hidden) == {"b": {"edges": [], "valuation": 3}}
     assert set(induced_graph(hidden).edges()) == {("a", "s")}
 
     # the source declares implicitly, so (s,b) survives when b declares it

@@ -1,9 +1,10 @@
 """Mechanism outcomes.
 
 An allocation is the one record of a run: the selected agents with their
-payments, the cheapest cost of connecting the selection to the source, and
-a thunk that builds the tree. Everything else is derived on first access,
-so a caller that reads only utilities or costs never builds a tree.
+payments, plus thunks for the cheapest cost of connecting the selection to
+the source and for the tree. Everything else is derived on first access,
+so a caller that reads only utilities never prices the selection or builds
+a tree, and ``utility(i)`` gives one agent's utility without the others'.
 ``social_welfare`` uses the selection's cheapest cost and ``total_cost``
 the built tree's; they differ only for a staged run whose union of stage
 trees is not a cheapest tree of the selection.
@@ -45,15 +46,16 @@ class Allocation:
     """Outcome of one mechanism run on one report profile.
 
     ``shares`` maps each selected agent to its payment (the ``shares``
-    attribute adds 0 for everyone else) and ``cost`` is the selection's
-    cheapest connection cost on the induced graph. A single-tree run passes
-    ``tree``, returning the tree's edges, which cost ``cost``. A staged run
-    passes ``stages``, returning its stage records; its tree is their union,
-    priced on the instance graph. Each thunk runs at most once.
+    attribute adds 0 for everyone else) and ``cost`` returns the
+    selection's cheapest connection cost on the induced graph. A
+    single-tree run passes ``tree``, returning the tree's edges, which cost
+    that much. A staged run passes ``stages``, returning its stage records;
+    its tree is their union, priced on the instance graph. Each thunk runs
+    at most once.
     """
 
     def __init__(self, mechanism: str, profile: ReportProfile,
-                 shares: dict[str, Value], cost: Value, tree=None, stages=None):
+                 shares: dict[str, Value], cost, tree=None, stages=None):
         self.mechanism = mechanism
         self.selected = frozenset(shares)
         self.shares = {i: shares.get(i, 0) for i in profile.instance.agent_order()}
@@ -62,15 +64,24 @@ class Allocation:
         self._tree = tree
         self._stages = stages
 
+    def utility(self, i: str) -> Value:
+        """Agent i's true valuation minus its share when selected, else 0."""
+        x = self.shares[i]
+        if i not in self.selected:
+            return 0
+        return as_value(self._profile.instance.valuations[i] - x)
+
     @cached_property
     def utilities(self) -> dict[str, Value]:
-        valuations = self._profile.instance.valuations
-        return {i: as_value(valuations[i] - x) if i in self.selected else 0
-                for i, x in self.shares.items()}
+        return {i: self.utility(i) for i in self.shares}
+
+    @cached_property
+    def cost(self) -> Value:
+        return self._cost()
 
     @cached_property
     def social_welfare(self) -> Value:
-        return as_value(sum(self._profile.valuation(i) for i in self.selected) - self._cost)
+        return as_value(sum(self._profile.valuation(i) for i in self.selected) - self.cost)
 
     @cached_property
     def tree_edges(self) -> frozenset[Edge]:
@@ -81,7 +92,7 @@ class Allocation:
     @cached_property
     def total_cost(self) -> Value:
         if self._stages is None:
-            return self._cost
+            return self.cost
         return self._profile.instance.graph.total_cost(self.tree_edges)
 
     @cached_property

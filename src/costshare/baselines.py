@@ -63,4 +63,5 @@ def run_bird(instance: Instance, profile: ReportProfile | None = None,
     profile = run_profile(instance, profile)
     graph = (cache or SteinerCache()).induced(profile)
     shares, tree = prim_shares(graph, instance.source)
-    return Allocation("bird", profile, shares, graph.total_cost(tree), tree=lambda: tree)
+    return Allocation("bird", profile, shares, lambda: graph.total_cost(tree),
+                      tree=lambda: tree)

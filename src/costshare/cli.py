@@ -22,8 +22,7 @@ from .cvm import run_cvm
 from .documents import load_document, parse_number, serialize_instance
 from .fixtures import (corpus_inefficiency, fig_bird_square, fig_line,
                        fig_welfare_gap, fig_zero_bridge)
-from .model import (AgentReport, SizeCapError, ValidationError, apply_deviation,
-                    edge_key, truthful_profile, value_to_json)
+from .model import SizeCapError, ValidationError, value_to_json
 from .properties import (MECHANISMS, PROPERTIES, PropertyReport,
                          budget_balance_ratio, check_budget_balance,
                          check_efficiency, check_feasibility,
@@ -186,12 +185,9 @@ def _demo_bird_manipulation() -> int:
     declared = [tuple(e) for e in w["report"]["edges"]]
     print(f"\nThe deviation search finds that {agent!r} profits by declaring "
           f"only {declared}.")
-    profile = truthful_profile(inst)
-    deviated = apply_deviation(
-        profile, agent,
-        AgentReport(frozenset(edge_key(u, v) for u, v in declared),
-                    inst.valuations[agent]))
-    after = run_bird(inst, deviated)
+    doc = json.loads(serialize_instance(inst))
+    doc["reports"] = {agent: w["report"]}
+    after = run_bird(*load_document(json.dumps(doc)))
     print(f"Tree after the cut: {sorted(after.tree_edges)}")
     print("Shares:", {i: value_to_json(x) for i, x in sorted(after.shares.items())})
     print(f"\n{agent!r} pays {_fmt(truthful.shares[agent])} when honest and "

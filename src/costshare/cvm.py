@@ -33,7 +33,8 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
     """Run the mechanism on a report profile (truthful by default).
 
     Prices come off the welfare table's scaled ints; each share is turned
-    into an exact value once. The selection's cost is the table's entry.
+    into an exact value once. The selection's cost is the table's entry,
+    unscaled when first read.
     """
     profile = run_profile(instance, profile)
     cache = cache or SteinerCache()
@@ -47,4 +48,4 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
         return solver.tree_for_mask(instance.source, table.agents, g_mask)
 
     return Allocation("cvm", profile, shares,
-                      unscale(table.scaled_costs[g_mask], table.scale), tree=tree)
+                      lambda: unscale(table.scaled_costs[g_mask], table.scale), tree=tree)

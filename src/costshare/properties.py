@@ -155,6 +155,7 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
     checked = 0
     for i in sorted(instance.agents):
         truthful_rep = base_profile.reports[i]
+        truthful_u = base.utility(i)
         for rep in enumerate_deviations(instance, i, step, edges_only):
             if rep == truthful_rep:
                 continue
@@ -163,10 +164,11 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
             if alloc is None:
                 continue
             checked += 1
-            if alloc.utilities[i] > base.utilities[i]:
+            u = alloc.utility(i)
+            if u > truthful_u:
                 witness = {"agent": i, "report": report_to_json(rep),
-                           "truthful_utility": value_to_json(base.utilities[i]),
-                           "deviation_utility": value_to_json(alloc.utilities[i])}
+                           "truthful_utility": value_to_json(truthful_u),
+                           "deviation_utility": value_to_json(u)}
                 return _report("truthfulness", name, witness, checked)
     return _report("truthfulness", name, None, checked)
 
@@ -267,10 +269,10 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
             if alloc is None:
                 continue
             checked += 1
-            if alloc.utilities[i] < 0:
+            u = alloc.utility(i)
+            if u < 0:
                 others = {j: report_to_json(r) for j, r in reports.items() if j != i}
-                witness = {"agent": i, "others": others,
-                           "utility": value_to_json(alloc.utilities[i])}
+                witness = {"agent": i, "others": others, "utility": value_to_json(u)}
                 return _report("individual-rationality", name, witness, checked, seed)
     return _report("individual-rationality", name, None, checked, seed)
 
@@ -327,7 +329,7 @@ def _check_twins(ranked: bool, instance: Instance, mechanism, i: str, j: str,
         raise ValidationError(f"agent {i!r} does not dominate {j!r}" if ranked
                               else f"agents {i!r} and {j!r} are not symmetric twins")
     name, _, alloc = _outcome(mechanism, instance, cache)
-    u_i, u_j = alloc.utilities[i], alloc.utilities[j]
+    u_i, u_j = alloc.utility(i), alloc.utility(j)
     witness = None
     if (u_i < u_j) if ranked else (u_i != u_j):
         witness = {"agents": [i, j], "utilities": [value_to_json(u_i), value_to_json(u_j)]}
@@ -366,10 +368,11 @@ def check_utility_monotonicity(instance: Instance, mechanism,
             if i == instance.source:
                 continue
             checked += 1
-            if alloc.utilities[i] > base.utilities[i]:
+            before, after = base.utility(i), alloc.utility(i)
+            if after > before:
                 witness = {"edge": list(e), "delta": 1, "agent": i,
-                           "utility_before": value_to_json(base.utilities[i]),
-                           "utility_after": value_to_json(alloc.utilities[i])}
+                           "utility_before": value_to_json(before),
+                           "utility_after": value_to_json(after)}
                 return _report("utility-monotonicity", name, witness, checked)
     return _report("utility-monotonicity", name, None, checked)
 

@@ -31,7 +31,9 @@ SteinerCache, so runs that differ only in reported valuations share them.
 The welfare of the final selection uses its cheapest connection cost,
 not the union tree's. ``welfare.connection_cost`` reads it from stage 1's
 own cost table (the uncontracted graph over the whole pool), so it builds
-no table of its own. Each stage tree is built once, when the trace or tree is first read.
+no table of its own, and only when the cost or welfare is first read: a
+deviation check that reads utilities never looks it up. Each stage tree
+is built once, when the trace or tree is first read.
 """
 
 from __future__ import annotations
@@ -139,5 +141,5 @@ def run_rsm(instance: Instance, profile: ReportProfile | None = None,
             records.append(StageRecord(t, selected_t, x_t, excluded_t, remaining_t, edges))
         return tuple(records)
 
-    return Allocation("rsm", profile, shares, connection_cost(profile, shares, cache),
-                      stages=stage_records)
+    return Allocation("rsm", profile, shares,
+                      lambda: connection_cost(profile, shares, cache), stages=stage_records)

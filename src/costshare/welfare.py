@@ -19,8 +19,8 @@ ints; ``scaled_to_ints`` lifts it and the reported valuations to one common
 factor (the lcm of their denominators), and a table keeps those ints with
 the factor. Values become exact ints or Fractions only where they leave:
 ``connection_cost`` is the one place an entry of the solver's table is
-unscaled, while ``WelfareTable.sw_delta_of`` and the mechanisms unscale
-what they read or compute from a welfare table.
+unscaled, while the mechanisms unscale what they read or compute from a
+welfare table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import SizeCapError, ValidationError, Value, as_value, unscale
+from .model import SizeCapError, ValidationError, as_value, unscale
 from .model import ReportProfile
 from .steiner import SteinerCache, scaled_to_ints
 
@@ -52,24 +52,6 @@ class WelfareTable:
     scaled_sw_delta: tuple[int, ...]
     scaled_costs: tuple
     scaled_value_sums: tuple[int, ...]
-
-    def mask_of(self, S) -> int:
-        idx = {a: b for b, a in enumerate(self.agents)}
-        m = 0
-        for a in S:
-            if a not in idx:
-                raise ValidationError(f"{a!r} is not an agent of this table")
-            m |= 1 << idx[a]
-        return m
-
-    def set_of(self, mask: int) -> frozenset[str]:
-        return frozenset(a for b, a in enumerate(self.agents) if mask >> b & 1)
-
-    def delta_of(self, S) -> frozenset[str]:
-        return self.set_of(self.delta_masks[self.mask_of(S)])
-
-    def sw_delta_of(self, S) -> Value:
-        return unscale(self.scaled_sw_delta[self.mask_of(S)], self.scale)
 
     @property
     def full_mask(self) -> int:

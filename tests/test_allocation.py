@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from costshare import (AgentReport, SteinerCache, ValidationError, apply_deviation,
-                       check_budget_balance, check_truthfulness, generate_instance,
-                       run_bird, run_cvm, run_rsm, truthful_profile,
-                       welfare_ratio_of_selection)
+                       check_budget_balance, check_individual_rationality,
+                       check_truthfulness, generate_instance, run_bird, run_cvm,
+                       run_rsm, truthful_profile, welfare_ratio_of_selection)
+from costshare import rsm
 from costshare.fixtures import fig_line, fig_staged_network, fig_triangle, fig_welfare_gap
 from costshare.model import induced_graph
 from costshare.steiner import SteinerSolver, brute_force_steiner_oracle
@@ -107,6 +108,34 @@ def test_staged_trace_builds_each_stage_tree_once(tree_calls):
     assert len(set(tree_calls)) == 3
     alloc.to_json(with_stages=True)
     assert len(tree_calls) == 3
+
+
+@pytest.fixture
+def cost_calls(monkeypatch):
+    """Every call run_rsm's allocations make to connection_cost."""
+    calls = []
+    original = rsm.connection_cost
+    monkeypatch.setattr(rsm, "connection_cost",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_rsm_deviation_checks_never_price_the_selection(cost_calls):
+    """The verdicts read one agent's utility, so no run looks up its
+    selection's connection cost."""
+    inst = fig_staged_network()
+    assert check_truthfulness(inst, "rsm").instances_checked > 0
+    assert check_individual_rationality(inst, "rsm", samples=20).instances_checked > 0
+    assert cost_calls == []
+
+
+def test_rsm_record_prices_the_selection_once(cost_calls):
+    alloc = run_rsm(fig_staged_network())
+    assert cost_calls == []
+    doc = alloc.to_json()
+    assert len(cost_calls) == 1
+    assert alloc.to_json() == doc
+    assert len(cost_calls) == 1
 
 
 def test_welfare_ratio_of_selection_runs_one_dp(monkeypatch):

@@ -13,6 +13,7 @@ from costshare.welfare import compute_delta_table
 from costshare.fixtures import (fig_line, fig_service_tree, fig_triangle,
                                 fig_zero_bridge)
 from golden_solve import corpus
+from test_welfare import delta_of
 
 
 def test_triangle_allocation_frozen():
@@ -41,8 +42,8 @@ def test_critical_value_identity_on_the_hub():
     others contribute on the full tree: (9-7) - (9+6+7-26) = 6."""
     table = compute_delta_table(truthful_profile(fig_service_tree()))
     rest = {"b", "c", "d"}
-    assert table.delta_of(rest) == frozenset({"b"})
-    assert table.sw_delta_of(rest) == 2
+    assert delta_of(table, rest)[0] == frozenset({"b"})
+    assert delta_of(table, rest)[1] == 2
     assert run_cvm(fig_service_tree()).shares["a"] == (9 - 7) - (9 + 6 + 7 - 26) == 6
 
 

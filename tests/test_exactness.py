@@ -14,14 +14,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from costshare import (AgentReport, Instance, apply_deviation,
-                       generate_instance, truthful_profile)
+from costshare import (AgentReport, Instance, ValidationError, apply_deviation,
+                       generate_instance, run_bird, run_cvm, run_rsm, truthful_profile)
 from costshare.model import induced_graph
 from costshare.rsm import stage_solve
 from costshare.steiner import SteinerCache, brute_force_steiner_oracle
 from costshare.welfare import compute_delta_table, connection_cost, social_welfare
 
-from test_welfare import _reference_delta
+from test_welfare import _reference_delta, delta_of, members
 
 DENOMINATORS = (1, 2, 3, 7)
 
@@ -63,11 +63,11 @@ def test_delta_table_matches_the_rational_reference(seed):
         rec = _reference_delta(prof)
         graph = induced_graph(prof)
         for mask in range(1 << len(table.agents)):
-            S = table.set_of(mask)
+            S = members(table.agents, mask)
             want_w, want_set = rec(S)
-            assert table.sw_delta_of(S) == want_w, (seed, sorted(S))
-            assert type(table.sw_delta_of(S)) is _exact_type(want_w)
-            assert table.set_of(table.delta_masks[mask]) == want_set, (seed, sorted(S))
+            assert delta_of(table, S)[1] == want_w, (seed, sorted(S))
+            assert type(delta_of(table, S)[1]) is _exact_type(want_w)
+            assert members(table.agents, table.delta_masks[mask]) == want_set, (seed, sorted(S))
             value = sum((prof.valuation(a) for a in S), Fraction(0))
             assert table.scaled_value_sums[mask] == value * table.scale
             res = brute_force_steiner_oracle(graph, S | {inst.source})
@@ -81,6 +81,32 @@ def test_delta_table_matches_the_rational_reference(seed):
                 welfare = social_welfare(prof, S, cache)
                 assert welfare == value - res.cost
                 assert type(welfare) is _exact_type(value - res.cost)
+
+
+@given(seed=st.integers(min_value=0, max_value=5_000))
+@settings(max_examples=30, deadline=None)
+def test_one_agents_utility_is_its_entry_of_utilities(seed):
+    """utility(i) gives the value and the exact type utilities[i] holds,
+    asked before and after the whole dict is built: the true valuation
+    minus the share for a selected agent and 0 for the rest, an int
+    whenever it is whole."""
+    inst, profiles, _ = _mixed_profiles(seed)
+    cache = SteinerCache()
+    agents = sorted(inst.agents)
+    for prof in profiles:
+        for runner in (run_cvm, run_rsm, run_bird):
+            try:
+                alloc = runner(inst, prof, cache)
+            except ValidationError:  # the attachment rule on a disconnected declaration
+                continue
+            first = [alloc.utility(i) for i in agents]
+            want = [inst.valuations[i] - alloc.shares[i] if i in alloc.selected else 0
+                    for i in agents]
+            assert first == want, (seed, runner.__name__)
+            assert [type(u) for u in first] == [_exact_type(u) for u in want]
+            assert first == [alloc.utilities[i] for i in agents], (seed, runner.__name__)
+            assert [type(u) for u in first] == [type(alloc.utilities[i]) for i in agents]
+            assert [type(alloc.utility(i)) for i in agents] == [type(u) for u in first]
 
 
 def _reference_stage(graph, source, remaining, reported, x_prev):

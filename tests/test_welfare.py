@@ -11,10 +11,23 @@ from hypothesis import given, settings, strategies as st
 
 from costshare import (Instance, SizeCapError, ValidationError,
                        generate_instance, social_welfare, truthful_profile)
-from costshare.model import induced_graph
+from costshare.model import induced_graph, unscale
 from costshare.steiner import brute_force_steiner_oracle
 from costshare.welfare import WELFARE_CAP, compute_delta_table
 from costshare.fixtures import fig_line, fig_triangle, fig_zero_bridge
+
+
+def members(agents, mask):
+    """The labels of agents whose bits are set in mask."""
+    return frozenset(a for b, a in enumerate(agents) if mask >> b & 1)
+
+
+def delta_of(table, S):
+    """delta of the agent set S and its welfare, read off the table's
+    masks and scaled ints."""
+    mask = sum(1 << table.agents.index(a) for a in S)
+    return (members(table.agents, table.delta_masks[mask]),
+            unscale(table.scaled_sw_delta[mask], table.scale))
 
 
 def _reference_delta(profile):
@@ -62,36 +75,36 @@ def test_triangle_table_frozen():
     loses 1, and the pair nets 1 through the shared tree. Hand-enumerated."""
     table = compute_delta_table(truthful_profile(fig_triangle()))
     assert table.agents == ("a", "b")
-    assert table.delta_of({"a"}) == frozenset({"a"})
-    assert table.delta_of({"b"}) == frozenset()
-    assert table.delta_of({"a", "b"}) == frozenset({"a", "b"})
-    assert table.sw_delta_of(set()) == 0
-    assert table.sw_delta_of({"a"}) == 1
-    assert table.sw_delta_of({"b"}) == 0
-    assert table.sw_delta_of({"a", "b"}) == 1
+    assert delta_of(table, {"a"})[0] == frozenset({"a"})
+    assert delta_of(table, {"b"})[0] == frozenset()
+    assert delta_of(table, {"a", "b"})[0] == frozenset({"a", "b"})
+    assert delta_of(table, set())[1] == 0
+    assert delta_of(table, {"a"})[1] == 1
+    assert delta_of(table, {"b"})[1] == 0
+    assert delta_of(table, {"a", "b"})[1] == 1
     assert table.scale == 1
     assert list(table.scaled_costs) == [0, 2, 4, 5]
     assert list(table.scaled_value_sums) == [0, 3, 3, 6]
     prof = truthful_profile(fig_triangle())
-    assert [social_welfare(prof, table.set_of(m)) for m in range(4)] == [0, 1, -1, 1]
+    assert [social_welfare(prof, members(table.agents, m)) for m in range(4)] == [0, 1, -1, 1]
 
 
 def test_delta_helper_reads_table():
     table = compute_delta_table(truthful_profile(fig_triangle()))
-    assert table.delta_of(frozenset({"b"})) == frozenset()
-    assert table.delta_of(frozenset({"a", "b"})) == frozenset({"a", "b"})
+    assert delta_of(table, frozenset({"b"}))[0] == frozenset()
+    assert delta_of(table, frozenset({"a", "b"}))[0] == frozenset({"a", "b"})
 
 
 def test_tie_keeps_the_set_itself():
     # zero bridge: serving {a} nets exactly 0, the same as serving nobody
     table = compute_delta_table(truthful_profile(fig_zero_bridge(5)))
-    assert table.delta_of({"a"}) == frozenset({"a"})
-    assert table.sw_delta_of({"a"}) == 0
+    assert delta_of(table, {"a"})[0] == frozenset({"a"})
+    assert delta_of(table, {"a"})[1] == 0
     # line tuned so the pair ties the near agent alone: tie goes to the pair
     tied = fig_line(m=2, n=3, v_a=4, v_b=3)
     table = compute_delta_table(truthful_profile(tied))
-    assert table.delta_of({"a", "b"}) == frozenset({"a", "b"})
-    assert table.sw_delta_of({"a", "b"}) == 2
+    assert delta_of(table, {"a", "b"})[0] == frozenset({"a", "b"})
+    assert delta_of(table, {"a", "b"})[1] == 2
 
 
 def test_social_welfare_values():
@@ -125,10 +138,10 @@ def test_table_matches_reference_recursion(seed):
     rec = _reference_delta(prof)
     agents = table.agents
     for mask in range(1 << len(agents)):
-        S = frozenset(a for b, a in enumerate(agents) if mask >> b & 1)
+        S = members(agents, mask)
         want_w, want_set = rec(S)
-        assert table.sw_delta_of(S) == want_w, (seed, sorted(S))
-        assert table.set_of(table.delta_masks[mask]) == want_set, (seed, sorted(S))
+        assert delta_of(table, S)[1] == want_w, (seed, sorted(S))
+        assert members(agents, table.delta_masks[mask]) == want_set, (seed, sorted(S))
 
 
 @given(seed=st.integers(min_value=0, max_value=2_000))
@@ -139,10 +152,10 @@ def test_delta_welfare_is_monotone_in_the_ground_set(seed):
     table = compute_delta_table(truthful_profile(inst))
     agents = sorted(inst.agents)
     grow: set = set()
-    last = table.sw_delta_of(grow)
+    last = delta_of(table, grow)[1]
     for a in agents:
         grow.add(a)
-        nxt = table.sw_delta_of(grow)
+        nxt = delta_of(table, grow)[1]
         assert nxt >= last
         last = nxt
 

@@ -19,6 +19,10 @@ from typing import Iterable, Mapping, Union
 
 Value = Union[int, Fraction]
 Edge = tuple[str, str]
+# The most agents the mechanisms and the generator accept; welfare and Steiner
+# tables grow as 2^n, and every cap on agents, terminals and nodes derives
+# from this one.
+MAX_AGENTS = 12
 
 
 class ValidationError(ValueError):
@@ -87,12 +91,12 @@ def edge_key(u: str, v: str) -> Edge:
 class WeightedGraph:
     """Immutable undirected graph with exact edge costs.
 
-    Equal and hashable by content, its nodes and edge costs, so solvers can
-    be memoized per graph; the hash is computed once, since graphs serve as
-    dict keys on every cache lookup.
+    A graph is its node set and its cost map: two graphs are equal when
+    both are equal, so solvers can be memoized per graph. The hash is
+    computed once, since graphs serve as dict keys on every cache lookup.
     """
 
-    __slots__ = ("nodes", "_costs", "_adj", "_fingerprint", "_hash")
+    __slots__ = ("nodes", "_costs", "_adj", "_hash")
 
     def __init__(self, nodes: Iterable[str], costs: Mapping[Edge, Value]):
         self.nodes = frozenset(nodes)
@@ -112,11 +116,7 @@ class WeightedGraph:
             adj[k[1]][k[0]] = c
         self._costs = cleaned
         self._adj = adj
-        self._fingerprint = (
-            tuple(sorted(self.nodes)),
-            tuple(sorted((u, v, c) for (u, v), c in cleaned.items())),
-        )
-        self._hash = hash(self._fingerprint)
+        self._hash = hash((self.nodes, frozenset(cleaned.items())))
 
     def cost(self, u: str, v: str) -> Value:
         return self._costs[edge_key(u, v)]
@@ -148,7 +148,8 @@ class WeightedGraph:
         return len(seen) == len(self.nodes)
 
     def __eq__(self, other):
-        return isinstance(other, WeightedGraph) and self._fingerprint == other._fingerprint
+        return (isinstance(other, WeightedGraph) and self.nodes == other.nodes
+                and self._costs == other._costs)
 
     def __hash__(self):
         return self._hash

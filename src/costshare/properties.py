@@ -31,10 +31,9 @@ from typing import Callable, NamedTuple
 from .baselines import run_bird
 from .cvm import run_cvm
 from .documents import lies_to_json, report_to_json
-from .model import (AgentReport, Instance, ReportProfile, SizeCapError,
+from .model import (MAX_AGENTS, AgentReport, Instance, ReportProfile, SizeCapError,
                     ValidationError, Value, _unchecked_profile, as_value,
-                    apply_deviation, exact_div, truthful_profile,
-                    value_to_json)
+                    apply_deviation, exact_div, truthful_profile, value_to_json)
 from .rsm import run_rsm
 from .steiner import SteinerCache
 from .welfare import social_welfare
@@ -42,7 +41,6 @@ from .welfare import social_welfare
 MECHANISMS = {"cvm": run_cvm, "rsm": run_rsm, "bird": run_bird}
 
 HALF = Fraction(1, 2)
-MAX_AGENTS = 12
 TWIN_EXTRA_AGENTS = 2
 EFFICIENCY_CAP = 8
 # Valuations per agent a deviation grid may hold. Every edge subset of an
@@ -119,12 +117,14 @@ def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
     return [AgentReport(declared, v) for declared in subsets for v in grid]
 
 
-def _run_or_none(runner, instance, profile, cache):
-    """Run a mechanism, treating a precondition failure (for example the
-    attachment rule on a disconnected declaration) as no outcome."""
+def _run_or_none(name: str, runner, instance, profile, cache):
+    """Run a mechanism, treating the attachment rule's failure on a
+    disconnected declaration as no outcome; any other failure propagates."""
     try:
         return runner(instance, profile, cache)
     except ValidationError:
+        if name != "bird":
+            raise
         return None
 
 
@@ -159,7 +159,7 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
         for rep in enumerate_deviations(instance, i, step, edges_only):
             if rep == truthful_rep:
                 continue
-            alloc = _run_or_none(runner, instance,
+            alloc = _run_or_none(name, runner, instance,
                                  apply_deviation(base_profile, i, rep), cache)
             if alloc is None:
                 continue
@@ -242,20 +242,14 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
     base = truthful_profile(instance)
     edges_only = name == "bird"
     menus = {j: _menu(instance, j, step, edges_only) for j in instance.agent_order()}
-    drawn: dict[tuple[str, int], AgentReport] = {}
     rng = random.Random(seed)
 
     def draw(j: str) -> AgentReport:
-        # Entry k of enumerate_deviations' list, built only once it is drawn
-        # and then reused, so repeated draws share one report object.
+        # Entry k of enumerate_deviations' list, built without the list.
         edges, grid = menus[j]
-        k = rng.randrange(len(grid) << len(edges))
-        rep = drawn.get((j, k))
-        if rep is None:
-            mask, g = divmod(k, len(grid))
-            rep = drawn[j, k] = AgentReport(
-                frozenset(e for b, e in enumerate(edges) if mask >> b & 1), grid[g])
-        return rep
+        mask, g = divmod(rng.randrange(len(grid) << len(edges)), len(grid))
+        return AgentReport(frozenset(e for b, e in enumerate(edges) if mask >> b & 1),
+                           grid[g])
 
     checked = 0
     for i in sorted(instance.agents):
@@ -264,7 +258,7 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
             # Drawn reports declare only true edges, so none is re-checked.
             reports = {j: base.reports[j] if j == i else draw(j)
                        for j in instance.agent_order()}
-            alloc = _run_or_none(runner, instance,
+            alloc = _run_or_none(name, runner, instance,
                                  _unchecked_profile(instance, reports), cache)
             if alloc is None:
                 continue
@@ -445,19 +439,19 @@ PROPERTIES = {
 def welfare_ratio_of_selection(instance: Instance, selection,
                                cache: SteinerCache | None = None) -> Value:
     """Welfare share a mechanism would reach by selecting a fixed set,
-    relative to the optimum; used to study selection rules abstractly."""
+    relative to the optimum; used to study selection rules abstractly. The
+    true graph is connected, so every set of agents can be connected."""
     cache = cache or SteinerCache()
     profile = truthful_profile(instance)
     sw = social_welfare(profile, selection, cache)
-    if sw is None:
-        raise ValidationError("the selection cannot be connected")
     best, _ = _welfare_optimum(instance, profile, cache)
     if best <= 0:
         raise ValidationError("the optimal welfare is not positive")
     return exact_div(sw, best)
 
 
-_LABELS = "abcdefghijkl"
+# Spelled out: importing `string` would add about 1 ms to every process start.
+_LABELS = "abcdefghijklmnopqrstuvwxyz"[:MAX_AGENTS]
 
 
 def generate_instance(agents: int = 4, edge_probability: float = 0.5,

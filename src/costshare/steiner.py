@@ -33,7 +33,7 @@ deterministically. The values come from one of two sources:
 - a Dreyfus-Wagner run, about 3^k * n steps for k selected terminals on n
   nodes, for small selections;
 - node-set costs, for large ones. dp[mask][v] is the cost of the cheapest
-  tree spanning the node set terms(mask) + v, kept per root in one list
+  tree spanning the node set terms(mask) + v, built per witness in one list
   over node sets whose root bit is set when the set holds the root. Such a
   set costs its root-table entry; one without the root, the cheaper of that
   entry and a second superset-min transform over the spanning-tree costs
@@ -68,13 +68,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .model import (Edge, ReportProfile, SizeCapError, ValidationError, Value,
-                    WeightedGraph, as_value, edge_key, induced_graph, unscale)
+from .model import (MAX_AGENTS, Edge, ReportProfile, SizeCapError, ValidationError,
+                    Value, WeightedGraph, as_value, edge_key, induced_graph, unscale)
 
-# A 12-agent instance plus its source is 13 nodes, all of them terminals.
-# The node cap is one above that, and bounds the exponential subset tables.
-MAX_NODES = 14
-MAX_TERMINALS = 13
+# An instance at the agent cap plus its source is MAX_TERMINALS nodes, all
+# terminals; the node cap, one above, bounds the exponential subset tables.
+MAX_TERMINALS = MAX_AGENTS + 1
+MAX_NODES = MAX_TERMINALS + 1
 ORACLE_MAX_NODES = 12
 
 
@@ -118,7 +118,7 @@ class SteinerSolver:
     The subset-MST table of a root answers the cost of connecting it to any
     set of the other nodes, so one table serves every terminal list under
     that root. The same table plus a root-free half gives the cost of
-    every node set, which large witnesses read instead of running the DP.
+    every node set, which a large witness builds instead of running the DP.
     Shortest paths are computed on the first witness only.
     """
 
@@ -141,7 +141,6 @@ class SteinerSolver:
         self._edges = sorted((c, self._idx[u], self._idx[v]) for (u, v), c in costs.items())
         self._paths = None
         self._roots: dict[int, list[int]] = {}
-        self._node_sets: dict[int, list[int]] = {}
         self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
 
     def _shortest_paths(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -286,19 +285,16 @@ class SteinerSolver:
         """The dp rows of a Dreyfus-Wagner run over ``terms``, read from
         node-set costs: dp[mask][v] spans the node set terms(mask) + v.
 
-        cost[S], built once per root and kept, is the cheapest tree spanning
+        cost[S], built for this witness alone, is the cheapest tree spanning
         the node set S in the bits of ``_positions``, ``_inf`` when none
         does. A set T | top with the root costs best[T]; a root-free set U
         the cheaper of best[U] and a tree avoiding the root, whose cost is a
         second superset-min transform over root-free spanning-tree costs."""
-        cost = self._node_sets.get(root)
-        if cost is None:
-            best = self._root_table(root)
-            top = len(best)
-            edges = [e for e in self._root_edges(root) if not e[3] & top]
-            free = self._superset_min(self._spanning_costs(edges, top, 0))
-            cost = [a if a < b else b for a, b in zip(free, best)] + best
-            self._node_sets[root] = cost
+        best = self._root_table(root)
+        top = len(best)
+        edges = [e for e in self._root_edges(root) if not e[3] & top]
+        free = self._superset_min(self._spanning_costs(edges, top, 0))
+        cost = [a if a < b else b for a, b in zip(free, best)] + best
         bits = [1 << b for b in self._positions(root)]
         sets = [0]
         for t in terms:
@@ -436,7 +432,7 @@ class SteinerSolver:
         order in which submasks are scanned, so the tree is the one a run
         over the whole list would reconstruct. ``_node_sets_pay`` picks
         where the values come from: a Dreyfus-Wagner run, or node-set costs
-        built once per root. Both give the same values wherever they are
+        built for this witness. Both give the same values wherever they are
         below ``_inf``, and the reconstruction follows only those, so both
         give the same tree."""
         root = self._term_indices([root_label])[0]

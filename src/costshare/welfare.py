@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import SizeCapError, ValidationError, as_value, unscale
-from .model import ReportProfile
+from .model import (MAX_AGENTS, ReportProfile, SizeCapError, ValidationError,
+                    as_value, unscale)
 from .steiner import SteinerCache, scaled_to_ints
 
-WELFARE_CAP = 12
+WELFARE_CAP = MAX_AGENTS
 
 
 @dataclass(frozen=True)

@@ -90,3 +90,8 @@ def test_bird_welfare_matches_the_oracle():
             assert alloc.social_welfare == want, seed
             checked += 1
     assert checked >= 60
+
+
+def test_prim_shares_needs_the_source_in_the_graph():
+    with pytest.raises(ValidationError, match="source 'z' is not a node of the graph"):
+        prim_shares(fig_bird_square().graph, "z")

@@ -67,6 +67,16 @@ def test_weighted_graph_equality_is_structural():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != g3
+    # Content is the node set and the cost map: an isolated node counts,
+    # and a cost compares by value, whatever its exact form.
+    assert WeightedGraph(["s", "a", "x"], {("s", "a"): 2}) != g1
+    halves = WeightedGraph(["s", "a"], {("s", "a"): Fraction(4, 2)})
+    assert halves == g1 and hash(halves) == hash(g1)
+
+
+def test_weighted_graph_rejects_an_edge_given_in_both_directions():
+    with pytest.raises(ValidationError, match=r"duplicate edge \('a', 'b'\)"):
+        WeightedGraph(["a", "b"], {("a", "b"): 1, ("b", "a"): 2})
 
 
 @pytest.mark.parametrize("agents,edges,valuations,fragment", [
@@ -96,6 +106,12 @@ def test_agent_report_canonicalizes():
     assert rep.valuation == Fraction(3, 2)
     with pytest.raises(ValidationError, match="nonnegative"):
         AgentReport(frozenset(), -1)
+
+
+def test_report_profile_must_cover_every_agent():
+    inst = Instance("s", ["a", "b"], {("s", "a"): 1, ("s", "b"): 1}, {"a": 1, "b": 1})
+    with pytest.raises(ValidationError, match="profile must cover exactly the agent set"):
+        ReportProfile(inst, {"a": AgentReport(frozenset(), 1)})
 
 
 def test_report_profile_rejects_undeclarable_edges():

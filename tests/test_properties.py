@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from costshare import (Instance, SizeCapError, ValidationError,
                        apply_deviation, budget_balance_ratio,
                        check_budget_balance, check_efficiency,
-                       check_individual_rationality, check_ranking,
-                       check_symmetry, check_truthfulness,
+                       check_individual_rationality, check_positiveness,
+                       check_ranking, check_symmetry, check_truthfulness,
                        check_utility_monotonicity, enumerate_deviations,
                        generate_instance, load_document, make_twin_instance,
                        run_cvm, serialize_instance, truthful_profile,
                        welfare_ratio, welfare_ratio_of_selection)
-from costshare.properties import valuation_grid
+from costshare.allocation import Allocation
+from costshare.model import MAX_AGENTS
+from costshare.properties import (EFFICIENCY_CAP, MAX_GRID_POINTS, MECHANISMS,
+                                  valuation_grid)
 from costshare.fixtures import (corpus_inefficiency, fig_line, fig_triangle,
                                 fig_welfare_gap, fig_zero_bridge)
 
@@ -29,6 +32,14 @@ def test_valuation_grid_frozen():
     assert coarse == [0, 3]
     with pytest.raises(ValidationError, match="positive"):
         valuation_grid(inst, "a", step=0)
+
+
+def test_a_grid_of_exactly_the_cap_is_built_and_one_more_point_is_refused():
+    inst = Instance("s", ["a"], {("s", "a"): 1}, {"a": 0})  # the grid spans [0, 1]
+    grid = valuation_grid(inst, "a", step=Fraction(1, MAX_GRID_POINTS - 1))
+    assert len(grid) == MAX_GRID_POINTS
+    with pytest.raises(SizeCapError, match=f"gives {MAX_GRID_POINTS + 1} valuations"):
+        valuation_grid(inst, "a", step=Fraction(1, MAX_GRID_POINTS))
 
 
 def test_enumerate_deviations_counts():
@@ -58,6 +69,31 @@ def test_truthfulness_verdicts_on_fixtures():
     assert report.holds  # no profitable cut exists on the triangle
 
 
+def test_library_checks_refuse_an_unknown_mechanism():
+    with pytest.raises(ValidationError, match="unknown mechanism 'vcg'"):
+        check_truthfulness(fig_triangle(), "vcg")
+
+
+@pytest.mark.parametrize("check", [check_truthfulness, check_individual_rationality])
+@pytest.mark.parametrize("name", ["cvm", "rsm"])
+def test_a_failed_run_on_a_deviated_profile_is_not_skipped(monkeypatch, check, name):
+    """Only the attachment rule's failure on a disconnected declaration is
+    no outcome. cvm and rsm accept every declaration, so a failure of
+    theirs propagates instead of shrinking the deviation set."""
+    run = MECHANISMS[name]
+    inst = fig_triangle()
+    truthful = truthful_profile(inst).reports
+
+    def failing(instance, profile, cache):
+        if profile.reports != truthful:
+            raise ValidationError("injected fault")
+        return run(instance, profile, cache)
+
+    monkeypatch.setitem(MECHANISMS, name, failing)
+    with pytest.raises(ValidationError, match="injected fault"):
+        check(inst, name)
+
+
 def test_individual_rationality_is_seeded_and_reproducible():
     inst = fig_triangle()
     one = check_individual_rationality(inst, "rsm", samples=25, seed=7)
@@ -74,7 +110,9 @@ def test_efficiency_verdicts():
     assert rep.witness == {"selected": ["b", "c"], "welfare": 3,
                            "optimal_set": ["b", "c", "d"],
                            "optimal_welfare": 5}
-    big = generate_instance(agents=9, edge_probability=0.6, seed=0)
+    at_cap = generate_instance(agents=EFFICIENCY_CAP, edge_probability=0.6, seed=0)
+    assert check_efficiency(at_cap, "cvm").holds
+    big = generate_instance(agents=EFFICIENCY_CAP + 1, edge_probability=0.6, seed=0)
     with pytest.raises(SizeCapError, match="efficiency"):
         check_efficiency(big, "cvm")
 
@@ -90,6 +128,16 @@ def test_pointwise_checks_accept_profiles():
     rep = check_budget_balance(prof, "rsm")
     assert rep.holds  # the lie changes nothing here; shares still cover cost
     assert check_budget_balance(inst, "cvm").witness["collected"] == 3
+
+
+def test_positiveness_names_an_agent_the_mechanism_pays(monkeypatch):
+    def paying(instance, profile, cache):
+        return Allocation("cvm", profile, {"b": -1}, lambda: 0, tree=lambda: frozenset())
+
+    monkeypatch.setitem(MECHANISMS, "cvm", paying)
+    rep = check_positiveness(fig_triangle(), "cvm")
+    assert rep.verdict == "violated"
+    assert rep.witness == {"agent": "b", "share": -1}
 
 
 def test_symmetry_and_ranking_on_mirror_twins():
@@ -163,6 +211,8 @@ def test_welfare_ratio_edge_cases():
     nothing = Instance("s", ["a"], {("s", "a"): 3}, {"a": 0})
     assert welfare_ratio(nothing, "cvm") is None
     assert welfare_ratio_of_selection(fig_line(), {"a", "b"}) == 1
+    with pytest.raises(ValidationError, match="the optimal welfare is not positive"):
+        welfare_ratio_of_selection(nothing, {"a"})  # the optimum is exactly 0
 
 
 def test_generator_is_deterministic_and_bounded():
@@ -175,10 +225,29 @@ def test_generator_is_deterministic_and_bounded():
     assert all(0 <= c <= 4 for c in one.graph.edges().values())
     assert all(0 <= v <= 6 for v in one.valuations.values())
     assert one.graph.is_connected()
-    with pytest.raises(ValidationError, match="probability"):
-        generate_instance(edge_probability=1.5)
-    with pytest.raises(ValidationError, match="agent count"):
-        generate_instance(agents=13)
+
+
+def test_generator_accepts_its_boundaries():
+    assert generate_instance(agents=0, edge_probability=0).agents == frozenset()
+    full = generate_instance(agents=MAX_AGENTS, edge_probability=1)
+    assert len(full.agents) == MAX_AGENTS
+    assert len(full.graph.edges()) == (MAX_AGENTS + 1) * MAX_AGENTS // 2
+    flat = generate_instance(agents=3, edge_probability=1, max_cost=0, max_valuation=0)
+    assert set(flat.graph.edges().values()) == set(flat.valuations.values()) == {0}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"agents": -1}, r"agent count must lie in \[0, 12\]"),
+    ({"agents": MAX_AGENTS + 1}, r"agent count must lie in \[0, 12\]"),
+    ({"edge_probability": -0.1}, r"edge probability must lie in \[0, 1\]"),
+    ({"edge_probability": 1.5}, r"edge probability must lie in \[0, 1\]"),
+    ({"max_cost": -1}, "cost and valuation bounds must be nonnegative"),
+    ({"max_valuation": -1}, "cost and valuation bounds must be nonnegative"),
+    ({"agents": 1, "edge_probability": 0}, "could not sample a connected instance"),
+])
+def test_generator_refuses_arguments_past_its_boundaries(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        generate_instance(**kwargs)
 
 
 def test_inefficiency_scan_reproduces_the_frozen_seed():

@@ -19,8 +19,8 @@ from costshare import (Instance, SizeCapError, ValidationError,
 from costshare import steiner
 from costshare.fixtures import fig_line
 from costshare.model import WeightedGraph
-from costshare.steiner import (MAX_NODES, ORACLE_MAX_NODES, SteinerCache,
-                               SteinerSolver, attachment_edge,
+from costshare.steiner import (MAX_NODES, MAX_TERMINALS, ORACLE_MAX_NODES,
+                               SteinerCache, SteinerSolver, attachment_edge,
                                brute_force_steiner_oracle, contract_into_source)
 from costshare.welfare import connection_cost
 
@@ -229,7 +229,7 @@ def test_steiner_cost_convenience_and_cache():
     solver = cache.solver(TRIANGLE)
     assert solver.cost_table("s", ("a", "b"))[0b11] == 5
     assert solver.tree_for_mask("s", ("a", "b"), 0b11) == frozenset({("a", "s"), ("a", "b")})
-    # same fingerprint reuses the solver
+    # a graph equal in content reuses the solver
     assert cache.solver(TRIANGLE) is cache.solver(_graph(
         {("s", "a"): 2, ("s", "b"): 4, ("a", "b"): 3}))
 
@@ -265,9 +265,32 @@ def test_size_caps():
         SteinerSolver(tall).cost_table("s", tuple(f"a{i:02d}" for i in range(13)))
 
 
+def test_size_caps_admit_their_boundary():
+    """Each cap admits the size it names: a MAX_NODES graph answers a table
+    over MAX_TERMINALS terminals, the root included, and the oracle takes
+    an ORACLE_MAX_NODES graph."""
+    tall = _graph({("s", f"a{i:02d}"): 1 for i in range(MAX_NODES - 1)})
+    assert len(tall.nodes) == MAX_NODES
+    terms = tuple(f"a{i:02d}" for i in range(MAX_TERMINALS - 1))
+    table = SteinerSolver(tall).cost_table("s", terms)
+    assert table[0] == 0 and table[-1] == MAX_TERMINALS - 1
+    g12 = _graph({("s", f"a{i:02d}"): 1 for i in range(ORACLE_MAX_NODES - 1)})
+    assert len(g12.nodes) == ORACLE_MAX_NODES
+    assert brute_force_steiner_oracle(g12, {"s", "a00", "a01"}).cost == 2
+
+
 def test_unknown_terminal_is_rejected():
     with pytest.raises(ValidationError, match="not a node"):
         SteinerSolver(LINE).cost_table("s", ("zz",))
+    with pytest.raises(ValidationError, match="terminal 'zz' is not a node of the graph"):
+        brute_force_steiner_oracle(LINE, {"s", "zz"})
+
+
+def test_contraction_checks_the_merged_set():
+    with pytest.raises(ValidationError, match="the merged set must contain the source"):
+        contract_into_source(LINE, {"a"}, "s")
+    with pytest.raises(ValidationError, match="merged nodes must belong to the graph"):
+        contract_into_source(LINE, {"s", "zz"}, "s")
 
 
 def test_solver_vs_oracle_on_mixed_denominator_costs():

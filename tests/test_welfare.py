@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import (Instance, SizeCapError, ValidationError,
-                       generate_instance, social_welfare, truthful_profile)
+                       generate_instance, run_cvm, run_rsm, social_welfare,
+                       truthful_profile)
 from costshare.model import induced_graph, unscale
 from costshare.steiner import brute_force_steiner_oracle
 from costshare.welfare import WELFARE_CAP, compute_delta_table
@@ -167,3 +168,11 @@ def test_welfare_cap_is_enforced():
                     {f"a{i:02d}": 2 for i in range(n)})
     with pytest.raises(SizeCapError, match="welfare cap"):
         compute_delta_table(truthful_profile(inst))
+
+
+def test_an_instance_at_the_welfare_cap_runs():
+    """Exactly WELFARE_CAP agents are accepted, under both mechanisms that
+    build a welfare table."""
+    inst = generate_instance(WELFARE_CAP, 0.4, seed=3)
+    assert len(inst.agents) == WELFARE_CAP
+    assert run_cvm(inst).selected and run_rsm(inst).selected

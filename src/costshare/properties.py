@@ -33,7 +33,7 @@ from .cvm import run_cvm
 from .documents import lies_to_json, report_to_json
 from .model import (MAX_AGENTS, AgentReport, Instance, ReportProfile, SizeCapError,
                     ValidationError, Value, _unchecked_profile, as_value,
-                    apply_deviation, exact_div, truthful_profile, value_to_json)
+                    exact_div, truthful_profile, value_to_json)
 from .rsm import run_rsm
 from .steiner import SteinerCache
 from .welfare import social_welfare
@@ -96,14 +96,20 @@ def valuation_grid(instance: Instance, i: str, step: Value = HALF) -> list[Value
             f"cap is {MAX_GRID_POINTS}")
     values = {as_value(k * step) for k in range(points)}
     values.add(instance.valuations[i])
-    return sorted(values, key=Fraction)
+    return sorted(values)
 
 
 def _menu(instance: Instance, i: str, step: Value, edges_only: bool):
-    """Agent i's sorted true edges and the valuations it may report."""
+    """Agent i's reports as (subsets, grid): each subset of its sorted true
+    edges as a frozenset, in mask order, and the valuations it may report.
+    Report k is AgentReport(subsets[k // len(grid)], grid[k % len(grid)]).
+    Every menu report declares only true edges."""
+    edges = sorted(instance.true_edges_of(i))
+    subsets = [frozenset(e for b, e in enumerate(edges) if mask >> b & 1)
+               for mask in range(1 << len(edges))]
     grid = ([instance.valuations[i]] if edges_only
             else valuation_grid(instance, i, step))
-    return sorted(instance.true_edges_of(i)), grid
+    return subsets, grid
 
 
 def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
@@ -111,21 +117,23 @@ def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
     """Every report agent i could submit: each subset of its true incident
     edges paired with each grid valuation (just the true valuation when
     edges_only is set). The truthful report is always included."""
-    true_edges, grid = _menu(instance, i, step, edges_only)
-    subsets = [frozenset(e for b, e in enumerate(true_edges) if mask >> b & 1)
-               for mask in range(1 << len(true_edges))]
+    subsets, grid = _menu(instance, i, step, edges_only)
     return [AgentReport(declared, v) for declared in subsets for v in grid]
 
 
-def _run_or_none(name: str, runner, instance, profile, cache):
-    """Run a mechanism, treating the attachment rule's failure on a
-    disconnected declaration as no outcome; any other failure propagates."""
-    try:
-        return runner(instance, profile, cache)
-    except ValidationError:
-        if name != "bird":
-            raise
-        return None
+def _runs(name: str, runner, instance: Instance, cases, cache: SteinerCache):
+    """Run the mechanism on each (agent, reports) case and yield (agent,
+    reports, allocation). Each report is truthful or from a menu, so its
+    profile is built without checks. The attachment rule's failure on a
+    disconnected declaration skips the case; any other failure propagates."""
+    for i, reports in cases:
+        try:
+            alloc = runner(instance, _unchecked_profile(instance, reports), cache)
+        except ValidationError:
+            if name != "bird":
+                raise
+            continue
+        yield i, reports, alloc
 
 
 def _report(prop: str, name: str, witness: dict | None, checked: int,
@@ -149,27 +157,23 @@ def check_truthfulness(instance: Instance, mechanism, step: Value = HALF,
     deviation grid."""
     name, runner = _resolve(mechanism)
     cache = cache or SteinerCache()
-    base_profile = truthful_profile(instance)
-    base = runner(instance, base_profile, cache)
+    profile = truthful_profile(instance)
+    base = profile.reports
+    truthful = runner(instance, profile, cache)
+    truthful_u = {i: truthful.utility(i) for i in instance.agent_order()}
     edges_only = name == "bird"
+    cases = ((i, {**base, i: rep}) for i in instance.agent_order()
+             for rep in enumerate_deviations(instance, i, step, edges_only)
+             if rep != base[i])
     checked = 0
-    for i in sorted(instance.agents):
-        truthful_rep = base_profile.reports[i]
-        truthful_u = base.utility(i)
-        for rep in enumerate_deviations(instance, i, step, edges_only):
-            if rep == truthful_rep:
-                continue
-            alloc = _run_or_none(name, runner, instance,
-                                 apply_deviation(base_profile, i, rep), cache)
-            if alloc is None:
-                continue
-            checked += 1
-            u = alloc.utility(i)
-            if u > truthful_u:
-                witness = {"agent": i, "report": report_to_json(rep),
-                           "truthful_utility": value_to_json(truthful_u),
-                           "deviation_utility": value_to_json(u)}
-                return _report("truthfulness", name, witness, checked)
+    for i, reports, alloc in _runs(name, runner, instance, cases, cache):
+        checked += 1
+        u = alloc.utility(i)
+        if u > truthful_u[i]:
+            witness = {"agent": i, "report": report_to_json(reports[i]),
+                       "truthful_utility": value_to_json(truthful_u[i]),
+                       "deviation_utility": value_to_json(u)}
+            return _report("truthfulness", name, witness, checked)
     return _report("truthfulness", name, None, checked)
 
 
@@ -239,35 +243,28 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
     so each agent gets a seeded sample budget)."""
     name, runner = _resolve(mechanism)
     cache = cache or SteinerCache()
-    base = truthful_profile(instance)
+    base = truthful_profile(instance).reports
     edges_only = name == "bird"
-    menus = {j: _menu(instance, j, step, edges_only) for j in instance.agent_order()}
+    order = instance.agent_order()
+    menus = {j: _menu(instance, j, step, edges_only) for j in order}
     rng = random.Random(seed)
 
     def draw(j: str) -> AgentReport:
-        # Entry k of enumerate_deviations' list, built without the list.
-        edges, grid = menus[j]
-        mask, g = divmod(rng.randrange(len(grid) << len(edges)), len(grid))
-        return AgentReport(frozenset(e for b, e in enumerate(edges) if mask >> b & 1),
-                           grid[g])
+        subsets, grid = menus[j]
+        k = rng.randrange(len(subsets) * len(grid))
+        return AgentReport(subsets[k // len(grid)], grid[k % len(grid)])
 
+    # Draw in sorted order: frozenset order varies with the hash seed.
+    cases = ((i, {j: base[j] if j == i else draw(j) for j in order})
+             for i in order for _ in range(samples))
     checked = 0
-    for i in sorted(instance.agents):
-        for _ in range(samples):
-            # Draw in sorted order: frozenset order varies with the hash seed.
-            # Drawn reports declare only true edges, so none is re-checked.
-            reports = {j: base.reports[j] if j == i else draw(j)
-                       for j in instance.agent_order()}
-            alloc = _run_or_none(name, runner, instance,
-                                 _unchecked_profile(instance, reports), cache)
-            if alloc is None:
-                continue
-            checked += 1
-            u = alloc.utility(i)
-            if u < 0:
-                others = {j: report_to_json(r) for j, r in reports.items() if j != i}
-                witness = {"agent": i, "others": others, "utility": value_to_json(u)}
-                return _report("individual-rationality", name, witness, checked, seed)
+    for i, reports, alloc in _runs(name, runner, instance, cases, cache):
+        checked += 1
+        u = alloc.utility(i)
+        if u < 0:
+            others = {j: report_to_json(r) for j, r in reports.items() if j != i}
+            witness = {"agent": i, "others": others, "utility": value_to_json(u)}
+            return _report("individual-rationality", name, witness, checked, seed)
     return _report("individual-rationality", name, None, checked, seed)
 
 

@@ -65,18 +65,14 @@ def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
     # min_val * size >= c.
     x_den = x_prev.denominator
     x_num = x_prev.numerator * scale
-    best_c = None
-    best_size = 0
-    best_mask = 0
+    # A share of 1/0 that every feasible set beats.
+    best_c, best_size, best_mask = 1, 0, 0
     for mask in range(1, 1 << n):
         c = costs[mask]
         if c is None:
             continue
         size = mask.bit_count()
         if c * x_den < x_num * size or min_val[mask] * size < c:
-            continue
-        if best_c is None:
-            best_c, best_size, best_mask = c, size, mask
             continue
         lhs, rhs = c * best_size, best_c * size
         if lhs < rhs:
@@ -92,7 +88,7 @@ def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
                 diff = mask ^ best_mask
                 if mask & diff & -diff:
                     best_mask = mask
-    if best_c is None:
+    if not best_size:
         return None
     return frozenset(_labels(agents, best_mask)), unscale(best_c, scale * best_size)
 

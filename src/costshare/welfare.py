@@ -53,10 +53,6 @@ class WelfareTable:
     scaled_costs: tuple
     scaled_value_sums: tuple[int, ...]
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.agents)) - 1
-
 
 def check_welfare_cap(agents: int) -> None:
     """Refuse a welfare computation over more agents than the cap."""

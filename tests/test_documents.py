@@ -2,13 +2,16 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from costshare import (AgentReport, ValidationError, apply_deviation,
                        serialize_instance, truthful_profile)
-from costshare.documents import MAX_NUMBER_DIGITS, load_document
+from costshare.cli import main
+from costshare.documents import (MAX_EXPONENT, MAX_NUMBER_DIGITS, MAX_NUMBER_TEXT,
+                                 load_document)
 from costshare.fixtures import fig_line, fig_triangle
 
 
@@ -28,8 +31,6 @@ def _doc(**overrides):
 
 
 def test_parse_instance_reads_exact_numbers():
-    from fractions import Fraction
-
     inst = load_document(_doc())[0]
     assert inst.graph.cost("a", "b") == Fraction(3, 2)
     assert inst.valuations["b"] == Fraction(1, 2)
@@ -123,6 +124,41 @@ def test_number_size_is_capped_before_it_is_built():
     inst = load_document(_doc(valuations={"a": edge, "b": f"1/{edge}"}))[0]
     assert inst.valuations["a"] == int(edge)
     assert load_document(_doc(valuations={"a": "25e-1", "b": 0}))[0].valuations["a"] == 2.5
+
+
+def test_number_text_length_cap_is_inclusive():
+    at_cap = "0" * (MAX_NUMBER_TEXT - 1) + "7"
+    assert load_document(_doc(valuations={"a": at_cap, "b": 1}))[0].valuations["a"] == 7
+    with pytest.raises(ValidationError, match=f"{MAX_NUMBER_TEXT + 1} characters long"):
+        load_document(_doc(valuations={"a": "0" + at_cap, "b": 1}))
+
+
+def test_exponent_cap_is_inclusive():
+    """An exponent at the cap passes its own check and is then refused for
+    the value's size; one more is refused for its range."""
+    with pytest.raises(ValidationError, match="too large"):
+        load_document(_doc(valuations={"a": f"1e{MAX_EXPONENT}", "b": 1}))
+    with pytest.raises(ValidationError, match="out of range"):
+        load_document(_doc(valuations={"a": f"1e{MAX_EXPONENT + 1}", "b": 1}))
+
+
+def test_numerator_and_denominator_caps_are_exclusive():
+    limit = 10 ** MAX_NUMBER_DIGITS
+    for ok, want in ((limit - 1, limit - 1), (str(limit - 1), limit - 1),
+                     (f"1/{limit - 1}", Fraction(1, limit - 1))):
+        assert load_document(_doc(valuations={"a": ok, "b": 1}))[0].valuations["a"] == want
+    for bad in (limit, str(limit), f"1/{limit}"):
+        with pytest.raises(ValidationError, match="too large"):
+            load_document(_doc(valuations={"a": bad, "b": 1}))
+
+
+@pytest.mark.parametrize("entry", [["s", "a", 2], {"u": "s", "v": "a"}])
+def test_malformed_edge_entry_exits_2(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(_doc(edges=[entry]), encoding="utf-8")
+    assert main(["solve", "--input", str(path), "--mechanism", "cvm"]) == 2
+    err = capsys.readouterr().err
+    assert "malformed edge entry" in err and "Traceback" not in err
 
 
 def test_oversized_json_ints_are_a_validation_error():

@@ -303,9 +303,10 @@ def test_induced_memo_agrees_with_induced_graph_across_a_sweep(monkeypatch):
 
 
 def test_individual_rationality_validates_each_declaration_at_most_once(monkeypatch):
-    """Sampled reports are drawn from each agent's own true edges, so the
-    sampled profiles are built without re-validating them: an IR check
-    checks each agent's declaration at most once, for the truthful profile."""
+    """Deviations and sampled reports come from each agent's own true edges,
+    so their profiles are built without re-validating them: a truthfulness
+    or IR check checks each agent's declaration at most once, for the
+    truthful profile."""
     from collections import Counter
 
     from costshare import model
@@ -319,11 +320,13 @@ def test_individual_rationality_validates_each_declaration_at_most_once(monkeypa
 
     monkeypatch.setattr(model, "_check_declaration", counted)
     inst = generate_instance(agents=4, edge_probability=0.6, seed=5)
+    checks = (lambda m: check_individual_rationality(inst, m, samples=20, seed=3),
+              lambda m: check_truthfulness(inst, m))
     for mechanism in ("cvm", "rsm", "bird"):
-        checked.clear()
-        report = check_individual_rationality(inst, mechanism, samples=20, seed=3)
-        assert report.instances_checked > 0
-        assert checked and max(checked.values()) == 1, (mechanism, checked)
+        for check_one in checks:
+            checked.clear()
+            assert check_one(mechanism).instances_checked > 0
+            assert checked and max(checked.values()) == 1, (mechanism, checked)
 
 
 def test_individual_rationality_samples_do_not_depend_on_the_hash_seed():

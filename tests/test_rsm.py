@@ -94,6 +94,32 @@ def test_stage_solve_units():
     g2 = WeightedGraph(["s", "a", "b"], {("s", "a"): 2, ("s", "b"): 6})
     assert stage_solve(g2, "s", {"a", "b"}, {"a": 9, "b": 9}, 3) == (
         frozenset({"a", "b"}), 4)
+    # {a, e} and {b, c} both cost 5, a share of 5/2 that no larger set
+    # beats. a is the smallest label only one of them holds, so {a, e}
+    # wins, though {b, c} comes first in mask order.
+    g3 = WeightedGraph("sabcdef", {
+        ("a", "c"): 3, ("a", "d"): 2, ("a", "e"): 2, ("b", "d"): 3, ("b", "e"): 4,
+        ("c", "d"): 4, ("d", "e"): 3, ("e", "f"): 0, ("c", "s"): 1, ("d", "s"): 1})
+    reported = {"a": 6, "b": 6, "c": 3, "d": 4, "e": 6, "f": 4}
+    assert stage_solve(g3, "s", set(reported), reported, Fraction(5, 2)) == (
+        frozenset({"a", "e"}), Fraction(5, 2))
+
+
+@pytest.mark.parametrize("seed, ladder", [
+    (781, "acde 3/4 | bf 1"),
+    (845, "c 0 | abf 2/3 | g 1 | e 2"),
+    (1510, "adef 7/4 | cg 5/2"),
+    (1532, "abcdg 3/5 | eh 1 | f 2"),
+    (1623, "bfh 7/3 | ae 3"),
+    (2092, "ach 0 | e 2 | bdg 8/3 | f 3"),
+])
+def test_stage_ladders_where_a_later_set_ties_the_best_share(seed, ladder):
+    """At some stage of each run a set later in mask order ties the best
+    share, so letting every tie replace the best set changes the ladder."""
+    inst = generate_instance(2 + seed % 7, (0.3, 0.5, 0.7)[seed % 3], seed=seed)
+    got = " | ".join(f"{''.join(sorted(r.selected))} {r.share}"
+                     for r in run_rsm(inst).stage_trace)
+    assert got == ladder
 
 
 def test_relay_recharge_truthful_run_is_balanced():

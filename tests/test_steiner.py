@@ -52,6 +52,11 @@ def test_oracle_on_hand_graphs():
     # the oracle's witness tree prices its own cost
     res = brute_force_steiner_oracle(DETOUR, {"s", "b"})
     assert res.tree_edges == frozenset({("a", "s"), ("a", "b")})
+    # Both two-edge routes cost 2; the first cheapest node set in ascending
+    # mask order, {s, a, b}, gives the tree.
+    square = _graph({("a", "s"): 1, ("a", "b"): 1, ("c", "s"): 1, ("b", "c"): 1})
+    res = brute_force_steiner_oracle(square, {"s", "b"})
+    assert res.cost == 2 and res.tree_edges == frozenset({("a", "b"), ("a", "s")})
 
 
 def test_oracle_disconnected_is_none():

@@ -100,16 +100,17 @@ def valuation_grid(instance: Instance, i: str, step: Value = HALF) -> list[Value
 
 
 def _menu(instance: Instance, i: str, step: Value, edges_only: bool):
-    """Agent i's reports as (subsets, grid): each subset of its sorted true
-    edges as a frozenset, in mask order, and the valuations it may report.
-    Report k is AgentReport(subsets[k // len(grid)], grid[k % len(grid)]).
-    Every menu report declares only true edges."""
-    edges = sorted(instance.true_edges_of(i))
-    subsets = [frozenset(e for b, e in enumerate(edges) if mask >> b & 1)
-               for mask in range(1 << len(edges))]
+    """Agent i's reports as (edges, grid): its sorted true edges and the
+    valuations it may report. Report k declares _subset(edges, k // len(grid))
+    and values grid[k % len(grid)]. Every menu report declares only true
+    edges."""
     grid = ([instance.valuations[i]] if edges_only
             else valuation_grid(instance, i, step))
-    return subsets, grid
+    return sorted(instance.true_edges_of(i)), grid
+
+
+def _subset(edges, mask: int) -> frozenset:
+    return frozenset(e for b, e in enumerate(edges) if mask >> b & 1)
 
 
 def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
@@ -117,7 +118,8 @@ def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
     """Every report agent i could submit: each subset of its true incident
     edges paired with each grid valuation (just the true valuation when
     edges_only is set). The truthful report is always included."""
-    subsets, grid = _menu(instance, i, step, edges_only)
+    edges, grid = _menu(instance, i, step, edges_only)
+    subsets = [_subset(edges, mask) for mask in range(1 << len(edges))]
     return [AgentReport(declared, v) for declared in subsets for v in grid]
 
 
@@ -250,9 +252,10 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
     rng = random.Random(seed)
 
     def draw(j: str) -> AgentReport:
-        subsets, grid = menus[j]
-        k = rng.randrange(len(subsets) * len(grid))
-        return AgentReport(subsets[k // len(grid)], grid[k % len(grid)])
+        # Report k of j's menu; only the drawn subset is built.
+        edges, grid = menus[j]
+        mask, g = divmod(rng.randrange(len(grid) << len(edges)), len(grid))
+        return AgentReport(_subset(edges, mask), grid[g])
 
     # Draw in sorted order: frozenset order varies with the hash seed.
     cases = ((i, {j: base[j] if j == i else draw(j) for j in order})

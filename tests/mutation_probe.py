@@ -1,6 +1,6 @@
 """Boundary mutation probe: which comparisons could move without a test noticing.
 
-    python tests/mutation_probe.py [MODULE ...] [--jobs N] [--list]
+    python tests/mutation_probe.py [MODULE ...]
 
 For every comparison operator in the named modules of ``src/costshare``
 (default: properties rsm welfare cvm steiner documents) the probe writes one
@@ -17,13 +17,13 @@ each selected module as re-printed by ``ast.unparse``, so a failure there is
 the probe's, not a mutant's. The timeout is four times the slowest of those
 runs.
 
-It uses only the standard library and is not collected by pytest: a full run
-over the default modules takes about 17 minutes with two jobs on two cores.
+It runs two suites at a time (one on a single-core machine), uses only the
+standard library and is not collected by pytest: a full run over the default
+modules takes about 17 minutes on two cores.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import queue
@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "costshare"
 DEFAULT_MODULES = ("properties", "rsm", "welfare", "cvm", "steiner", "documents")
+JOBS = min(2, os.cpu_count() or 1)
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
@@ -147,29 +148,21 @@ def run_suite(copy: Path, timeout: float | None) -> str:
     return "passed" if proc.returncode == 0 else "failed"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("modules", nargs="*", default=list(DEFAULT_MODULES))
-    ap.add_argument("--jobs", type=int, default=2)
-    ap.add_argument("--list", action="store_true", help="print the mutants and exit")
-    args = ap.parse_args(argv)
-    for m in args.modules:
+def main(modules: list[str]) -> int:
+    modules = modules or list(DEFAULT_MODULES)
+    for m in modules:
         if not (ROOT / PACKAGE / f"{m}.py").is_file():
-            ap.error(f"no module {m!r} in {PACKAGE}")
-    todo = [rec for m in args.modules for rec in mutants(m)]
+            print(f"no module {m!r} in {PACKAGE}")
+            return 2
+    todo = [rec for m in modules for rec in mutants(m)]
     keys = {(rec["module"], rec["scope"], rec["text"], rec["to"]) for rec in todo}
     for key in ALLOWED:
-        if key[0] in args.modules and key not in keys:
+        if key[0] in modules and key not in keys:
             print(f"allowlist entry matches no mutant: {key}")
-    if args.list:
-        for rec in todo:
-            print(f"{rec['module']}.py:{rec['line']} {rec['scope']}: "
-                  f"{rec['text']!r} {rec['from']} -> {rec['to']}")
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as work:
         copies: queue.Queue = queue.Queue()
-        for j in range(max(1, args.jobs)):
+        for j in range(JOBS):
             copy = Path(work) / f"copy{j}"
             shutil.copytree(ROOT, copy, ignore=IGNORE)
             copies.put(copy)
@@ -187,9 +180,9 @@ def main(argv=None) -> int:
                 target.write_text(original, encoding="utf-8")
                 copies.put(copy)
 
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            baseline = list(pool.map(lambda m: probe(m, None, None), args.modules))
-            for m, (outcome, _) in zip(args.modules, baseline):
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
+            baseline = list(pool.map(lambda m: probe(m, None, None), modules))
+            for m, (outcome, _) in zip(modules, baseline):
                 if outcome != "passed":
                     print(f"{m}.py re-printed by ast.unparse does not pass the suite "
                           f"({outcome}); no mutant was run")
@@ -216,4 +209,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -132,7 +132,7 @@ class WeightedGraph:
         return dict(self._adj[v])
 
     def total_cost(self, edges: Iterable[Edge]) -> Value:
-        return as_value(sum(Fraction(self._costs[edge_key(*e)]) for e in edges))
+        return as_value(sum(self._costs[edge_key(*e)] for e in edges))
 
     def is_connected(self) -> bool:
         if not self.nodes:
@@ -310,4 +310,13 @@ def _unchecked_profile(instance: Instance, reports: dict[str, AgentReport]) -> R
     out = object.__new__(ReportProfile)
     object.__setattr__(out, "instance", instance)
     object.__setattr__(out, "reports", reports)
+    return out
+
+
+def _unchecked_report(edges: frozenset[Edge], valuation: Value) -> AgentReport:
+    """A report kept as given: ``edges`` must already be canonical edge keys
+    and ``valuation`` a normalized nonnegative value."""
+    out = object.__new__(AgentReport)
+    object.__setattr__(out, "edges", edges)
+    object.__setattr__(out, "valuation", valuation)
     return out

@@ -32,8 +32,8 @@ from .baselines import run_bird
 from .cvm import run_cvm
 from .documents import lies_to_json, report_to_json
 from .model import (MAX_AGENTS, AgentReport, Instance, ReportProfile, SizeCapError,
-                    ValidationError, Value, _unchecked_profile, as_value,
-                    exact_div, truthful_profile, value_to_json)
+                    ValidationError, Value, _unchecked_profile, _unchecked_report,
+                    as_value, exact_div, truthful_profile, value_to_json)
 from .rsm import run_rsm
 from .steiner import SteinerCache
 from .welfare import social_welfare
@@ -120,7 +120,7 @@ def enumerate_deviations(instance: Instance, i: str, step: Value = HALF,
     edges_only is set). The truthful report is always included."""
     edges, grid = _menu(instance, i, step, edges_only)
     subsets = [_subset(edges, mask) for mask in range(1 << len(edges))]
-    return [AgentReport(declared, v) for declared in subsets for v in grid]
+    return [_unchecked_report(declared, v) for declared in subsets for v in grid]
 
 
 def _runs(name: str, runner, instance: Instance, cases, cache: SteinerCache):
@@ -255,7 +255,7 @@ def check_individual_rationality(instance: Instance, mechanism, samples: int = 2
         # Report k of j's menu; only the drawn subset is built.
         edges, grid = menus[j]
         mask, g = divmod(rng.randrange(len(grid) << len(edges)), len(grid))
-        return AgentReport(_subset(edges, mask), grid[g])
+        return _unchecked_report(_subset(edges, mask), grid[g])
 
     # Draw in sorted order: frozenset order varies with the hash seed.
     cases = ((i, {j: base[j] if j == i else draw(j) for j in order})

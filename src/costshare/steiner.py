@@ -5,13 +5,18 @@ is a minimum spanning tree of its own node set (Hakimi 1971), so for a root
 r the cheapest tree joining r to a node set S costs the least m[T] over the
 supersets T of S, where m[T] is the spanning-tree cost of the subgraph
 induced by T and r. A solver computes m for every set of non-root nodes,
-relays included, once per root, and one superset-min (zeta) transform over
-the node bits turns it into the cost of every set at once. The transform
-takes each bit in whole-slice passes, contiguous runs or strided ones,
-whichever needs fewer slice assignments. A terminal list's table is a
-projection of that array, which is what makes whole welfare tables cheap.
-A subset whose nodes cannot reach the root is infeasible, reported as None
-rather than a sentinel cost.
+relays included, once per root, in one pass over the sets in ascending
+order: m[T] is the least m[T - v] plus v's cheapest edge into T - v + r over
+the nodes v of T, because a minimum spanning tree has a leaf other than r
+and dropping that leaf leaves a minimum spanning tree of the rest. Only the
+sets inside the root's component, found by a flood over the edges, take
+any work; a set with a node outside it has no tree. One superset-min (zeta)
+transform over the component's node bits then turns m into the cost of
+every set at once. The transform takes each bit in whole-slice passes,
+contiguous runs or strided ones, whichever needs fewer slice assignments. A
+terminal list's table is a projection of that array, which is what makes
+whole welfare tables cheap. A subset whose nodes cannot reach the root is
+infeasible, reported as None rather than a sentinel cost.
 
 Inside a solver everything is a plain int: edge costs are scaled once by
 the lcm of their denominators, ``solver.scale``, and an int sentinel above every real
@@ -209,41 +214,60 @@ class SteinerSolver:
         pos = self._positions(root)
         return [(c, pos[i], pos[j], 1 << pos[i] | 1 << pos[j]) for c, i, j in self._edges]
 
-    def _spanning_costs(self, edges, top: int, fixed: int) -> list[int]:
-        """m[T] for every T below ``top``: the cost of a spanning tree of the
-        subgraph induced by the node bits T | fixed, by Kruskal over the
-        sorted edges, ``_inf`` when that subgraph is disconnected."""
-        n, inf = self._n, self._inf
-        m = [inf] * top
-        for T in range(top):
-            nodes = T | fixed
-            left = nodes.bit_count() - 1
-            if left <= 0:
+    def _spanning_costs(self, edges, fixed: int, reach: int) -> list[int]:
+        """m[T] for every set T of non-root node bits that lies in
+        ``reach``: the cost of a minimum spanning tree of the subgraph
+        induced by the node bits T | fixed, ``_inf`` when that subgraph is
+        disconnected. Every other entry stays ``_inf``.
+
+        One pass in ascending T, by leaf removal: m[T] = 0 when T | fixed
+        has at most one node, else the least m[T - v] plus v's cheapest edge
+        into (T - v) | fixed over the bits v of T. A minimum spanning tree
+        on two or more nodes has a leaf in T, and dropping it leaves a
+        minimum spanning tree of the rest, so the least candidate is exact.
+        Each node lists its neighbours in the ascending edge order, so the
+        first one inside the set is the cheapest. Costs are nonnegative, so
+        a v with m[T - v] at or above the best candidate so far cannot
+        win."""
+        inf = self._inf
+        near: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
+        for c, u, v, _ in edges:
+            near[u].append((c, 1 << v))
+            near[v].append((c, 1 << u))
+        m = [inf] * (1 << (self._n - 1))
+        T = 0
+        while True:
+            if (T | fixed).bit_count() <= 1:
                 m[T] = 0
-                continue
-            parent = list(range(n))
-            total = 0
-            for c, u, v, bits in edges:
-                if bits & nodes != bits:
-                    continue
-                while parent[u] != u:
-                    parent[u] = u = parent[parent[u]]
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                if u != v:
-                    parent[v] = u
-                    total += c
-                    left -= 1
-                    if not left:
-                        m[T] = total
-                        break
-        return m
+            else:
+                best = inf
+                bits = T
+                while bits:
+                    b = bits & -bits
+                    bits ^= b
+                    base = m[T ^ b]
+                    if base >= best:
+                        continue
+                    rest = T ^ b | fixed
+                    for c, nb in near[b.bit_length() - 1]:
+                        if nb & rest:
+                            if base + c < best:
+                                best = base + c
+                            break
+                m[T] = best
+            if T == reach:
+                return m
+            T = (T - reach) & reach
 
     @staticmethod
-    def _superset_min(m: list[int]) -> list[int]:
-        """Replace each m[T] by the least m over the supersets of T, in
-        place, and return m, whose length is a power of two: one pass per
-        bit (the zeta transform over min).
+    def _superset_min(m: list[int], bits: int) -> list[int]:
+        """Replace each m[T] by the least m over the supersets of T that
+        differ from it only in ``bits``, in place, and return m, whose
+        length L is a power of two above ``bits``: one pass per bit of
+        ``bits`` (the zeta transform over min). When every entry with a bit
+        outside ``bits`` is the sentinel, that is the least m over all
+        supersets, since a pass over an outside bit would pair each entry
+        with a sentinel.
 
         The pass for bit s pairs every T without s with T | s. Over a table
         of length L those pairs form L/2s contiguous runs, m[lo:lo+s]
@@ -251,8 +275,9 @@ class SteinerSolver:
         m[r+s::2s]; the pass takes whichever needs fewer slice assignments,
         min(s, L/2s), and computes each run with one comparison per pair."""
         top = len(m)
-        step = 1
-        while step < top:
+        while bits:
+            step = bits & -bits
+            bits ^= step
             span = step << 1
             if step < top // span:
                 for lo in range(step):
@@ -262,7 +287,6 @@ class SteinerSolver:
                 for lo in range(0, top, span):
                     hi = lo + step
                     m[lo:hi] = [a if a < b else b for a, b in zip(m[lo:hi], m[hi:hi + step])]
-            step = span
         return m
 
     def _root_table(self, root: int) -> list[int]:
@@ -270,15 +294,28 @@ class SteinerSolver:
         the cheapest tree joining the root to T, ``_inf`` when no tree does.
         Node bits are those of ``_positions``, without the root's.
 
-        First m[T] is the cost of a spanning tree of G[T + root]. A minimum
-        Steiner tree spans its own node set, so best[T] is the least m over
-        the supersets of T: one superset-min (zeta) transform over the
-        bits."""
+        First a flood over the edges finds ``reach``, the bits that can
+        reach the root; a set with any other bit has no tree and stays
+        ``_inf`` with no work. Then m[T] is the cost of a minimum spanning
+        tree of G[T + root] for every T inside ``reach``. A minimum Steiner
+        tree spans its own node set, so best[T] is the least m over the
+        supersets of T: one superset-min (zeta) transform over the bits of
+        ``reach``."""
         best = self._roots.get(root)
         if best is None:
             top = 1 << (self._n - 1)
-            m = self._spanning_costs(self._root_edges(root), top, top)
-            best = self._roots[root] = self._superset_min(m)
+            edges = self._root_edges(root)
+            reach = top
+            while True:
+                grown = reach
+                for _, _, _, bits in edges:
+                    if bits & reach:
+                        reach |= bits
+                if reach == grown:
+                    break
+            reach ^= top
+            m = self._spanning_costs(edges, top, reach)
+            best = self._roots[root] = self._superset_min(m, reach)
         return best
 
     def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> list[list[int]]:
@@ -293,7 +330,7 @@ class SteinerSolver:
         best = self._root_table(root)
         top = len(best)
         edges = [e for e in self._root_edges(root) if not e[3] & top]
-        free = self._superset_min(self._spanning_costs(edges, top, 0))
+        free = self._superset_min(self._spanning_costs(edges, 0, top - 1), top - 1)
         cost = [a if a < b else b for a, b in zip(free, best)] + best
         bits = [1 << b for b in self._positions(root)]
         sets = [0]
@@ -466,12 +503,13 @@ class SteinerSolver:
 # the root-free half of the node-set costs, with its transform, costs about
 # 2^(n-1) * E (E edges). Timed on CPython 3.11.7 on a 2.1 GHz Xeon vCPU over
 # graphs of 6 to 13 nodes and 9 to 49 edges, one step of the second took
-# 1.4 to 5.6 times one step of the first, 2.6 at the median. Re-checked after
-# the whole-slice transform passes on the 27 witness builds of the six
-# 11-agent benchmark documents (CPython 3.11.7, 2-vCPU Xeon, best of five,
-# root table built), the rule picked the faster source each time: up to
-# k = 7 a DP run took at most 2.2 ms against 0.01-6.3 ms of node sets; at
-# k = 9 and 11, node sets took 4.8-7.9 ms against 11.9-114 ms of DP.
+# 1.4 to 5.6 times one step of the first, 2.6 at the median, when that half
+# ran one Kruskal per node set. Re-checked after the leaf-removal recurrence
+# replaced it, on the 27 witness builds of the six 11-agent benchmark
+# documents (CPython 3.11.7, 2-vCPU Xeon, best of five, root table built),
+# the rule still picked the faster source each time: at 12 nodes, node sets
+# took 3.3-7.8 ms, against at most 2.3 ms of DP up to k = 7, 13.2-14.3 ms at
+# k = 9 and 106-114 ms at k = 11.
 NODE_SET_STEP = 2.6
 
 

@@ -68,7 +68,7 @@ def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None
     Every query reads the table over all agents: a memo hit after a welfare
     table or an RSM run on the same cache. On a cold cache it builds the
     source's subset spanning-tree table, whose cost depends on the graph,
-    not on S: 0.017 s for two agents of ``generate_instance(12, 0.4,
+    not on S: 5-8 ms for two agents of ``generate_instance(12, 0.4,
     seed=3)`` (2 vCPUs, CPython 3.11.7).
     """
     inst = profile.instance

@@ -56,6 +56,10 @@ ALLOWED = {
         "the transform keeps the smaller of two ints; on a tie both are equal",
     ("steiner", "SteinerSolver._node_set_rows", "a < b", "<="):
         "the root-free merge keeps the smaller of two ints; on a tie both are equal",
+    ("steiner", "SteinerSolver._spanning_costs", "base >= best", ">"):
+        "at base == best no candidate base + c is below best: speed only",
+    ("steiner", "SteinerSolver._spanning_costs", "base + c < best", "<="):
+        "the recurrence keeps the smaller of two ints; on a tie both are equal",
     ("steiner", "SteinerSolver._superset_min", "step < top // span", "<="):
         "picks strided or contiguous slices over the same pairs: speed only",
     ("steiner", "_node_sets_pay", "3 ** k * n > NODE_SET_STEP * (1 << (n - 1)) * edges", ">="):
@@ -72,6 +76,8 @@ ALLOWED = {
         "only the root's entry differs, and the next line overwrites it",
     ("steiner", "brute_force_steiner_oracle", "len(tset) <= 1", "<"):
         "one terminal's own mask comes first and costs 0 with no edges, as the shortcut",
+    ("model", "edge_key", "u < v", "<="):
+        "u == v raises on the line before, so both forms order every pair alike",
     ("properties", "generate_instance", "rng.random() < edge_probability", "<="):
         "a float draw equals the probability with chance about 2**-53",
     ("properties", "make_twin_instance", "rng.random() < 0.6", "<="):

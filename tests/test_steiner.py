@@ -6,7 +6,9 @@ where the answer is obvious, and the solver is then held to it on seeded
 random graphs. The acceptance module repeats that comparison at a larger
 scale. The solver's tables rest on the same identity as the oracle, so they
 are also diffed against the Dreyfus-Wagner dynamic program, which builds
-the witness trees.
+the witness trees, and their two steps, the spanning-tree costs and the
+superset-min transform, against a Kruskal per node set and a direct minimum
+over supersets.
 """
 
 from fractions import Fraction
@@ -148,9 +150,151 @@ def test_superset_min_is_the_least_value_over_supersets():
     for bits in range(12):
         m = [rng.choice((0, 1, 1, 2, 3, inf, inf)) for _ in range(1 << bits)]
         want = _brute_superset_min(m)
-        got = SteinerSolver._superset_min(m)
+        got = SteinerSolver._superset_min(m, len(m) - 1)
         assert got is m
         assert got == want, bits
+
+
+def test_superset_min_over_some_bits_is_the_full_transform():
+    """Restricted to a bit set, the transform gives the least value over
+    all supersets wherever every entry with a bit outside the set is the
+    sentinel: root tables rely on it for the bits that cannot reach the
+    root."""
+    import random
+
+    inf = SteinerSolver(TRIANGLE)._inf
+    rng = random.Random(1)
+    checked = 0
+    for bits in range(12):
+        top = 1 << bits
+        for _ in range(4):
+            keep = rng.randrange(top)
+            m = [rng.choice((0, 1, 1, 2, 3, inf)) if T & ~keep == 0 else inf
+                 for T in range(top)]
+            want = _brute_superset_min(m)
+            assert SteinerSolver._superset_min(m, keep) == want, (bits, keep)
+            checked += keep != top - 1
+    assert checked >= 40
+
+
+def _seeded_split_graphs():
+    """(seed, graph) pairs of 40 seeded graphs with three parts: a main
+    component, a second component with internal edges and an isolated
+    node. Costs mix denominators and include zero."""
+    import random
+
+    for seed in range(40):
+        rng = random.Random(seed)
+        labels = rng.sample([f"v{i}" for i in range(11)], rng.randint(4, 11))
+        cut = rng.randint(2, len(labels) - 2)
+        pairs = set()
+        for part in (labels[:cut], labels[cut:-1]):
+            for i, u in enumerate(part[1:], 1):
+                # a tree through the part first, then extra edges
+                pairs.add(tuple(sorted((u, rng.choice(part[:i])))))
+                pairs.update(tuple(sorted((u, w))) for w in part[:i] if rng.random() < 0.3)
+        costs = {e: Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.choice((1, 1, 2, 3)))
+                 for e in sorted(pairs)}
+        yield seed, _graph(costs, labels)
+
+
+def _kruskal_costs(solver):
+    """The spanning-tree cost of every node set, by mask over sorted labels,
+    as a scaled int; the solver's sentinel where the set is disconnected."""
+    g = solver.graph
+    labels = sorted(g.nodes)
+    at = {v: i for i, v in enumerate(labels)}
+    edges = sorted((int(c * solver.scale), at[u], at[v]) for (u, v), c in g.edges().items())
+    out = []
+    for mask in range(1 << len(labels)):
+        parent = list(range(len(labels)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        total, joined = 0, 0
+        for c, u, v in edges:
+            if mask >> u & 1 and mask >> v & 1 and find(u) != find(v):
+                parent[find(u)] = find(v)
+                total += c
+                joined += 1
+        out.append(total if joined == mask.bit_count() - 1 else solver._inf)
+    out[0] = 0
+    return out
+
+
+def _under_root(table, root):
+    """A table over node masks, split by ``root`` into the solver's bits:
+    (entries of the sets with the root, entries of the sets without it),
+    each indexed by the other nodes' bits in label order."""
+    n = len(table).bit_length() - 1
+    low = (1 << root) - 1
+
+    def mask(T):
+        return (T & low) | (T & ~low) << 1
+
+    sets = [mask(T) for T in range(1 << (n - 1))]
+    return [table[s | 1 << root] for s in sets], [table[s] for s in sets]
+
+
+def _reach(graph, root_label):
+    """Label-order indices of the nodes joined to the root."""
+    seen, todo = {root_label}, [root_label]
+    while todo:
+        for w in graph.adjacent(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return [i for i, v in enumerate(sorted(graph.nodes)) if v in seen]
+
+
+def test_spanning_costs_match_a_kruskal_per_node_set():
+    """The leaf-removal recurrence gives the spanning-tree cost of every
+    node set, with the root (over the bits that can reach it) and without
+    it (over every bit), as a Kruskal per set does, for every root of
+    graphs with a second component and an isolated node."""
+    seen = {"roots": 0, "scaled": 0, "zero": 0}
+    for seed, g in _seeded_split_graphs():
+        solver = SteinerSolver(g)
+        want = _kruskal_costs(solver)
+        seen["scaled"] += solver.scale > 1
+        seen["zero"] += 0 in g.edges().values()
+        for root, label in enumerate(sorted(g.nodes)):
+            edges = solver._root_edges(root)
+            top = 1 << (solver._n - 1)
+            reach = sum(1 << (i - (i > root)) for i in _reach(g, label) if i != root)
+            with_root, without = _under_root(want, root)
+            assert solver._spanning_costs(edges, top, reach) == with_root, (seed, root)
+            free = [e for e in edges if not e[3] & top]
+            assert solver._spanning_costs(free, 0, top - 1) == without, (seed, root)
+            seen["roots"] += 1
+    assert seen["roots"] >= 200 and min(seen.values()) >= 20, seen
+
+
+def test_root_tables_and_node_set_costs_match_a_kruskal_per_node_set():
+    """Each root table, and the node-set costs a large witness reads, equal
+    the least Kruskal cost over the supersets of each set, for every root
+    of graphs with a second component and an isolated node: a set outside
+    the root's component has no tree with the root, but can still have
+    one without it."""
+    seen = {"finite_apart": 0}
+    for seed, g in _seeded_split_graphs():
+        solver = SteinerSolver(g)
+        best = _brute_superset_min(_kruskal_costs(solver))
+        inf = solver._inf
+        for root in range(solver._n):
+            with_root, without = _under_root(best, root)
+            assert solver._root_table(root) == with_root, (seed, root)
+            terms = tuple(i for i in range(solver._n) if i != root)
+            rows = solver._node_set_rows(root, terms)
+            assert [row[root] for row in rows] == with_root, (seed, root)
+            for T in range(1, len(rows)):
+                v = terms[(T & -T).bit_length() - 1]
+                assert rows[T][v] == without[T], (seed, root, T)
+                seen["finite_apart"] += with_root[T] >= inf > without[T]
+    assert min(seen.values()) >= 100, seen
 
 
 def test_solver_vs_oracle_on_seeded_graphs():

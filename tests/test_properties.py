@@ -15,7 +15,7 @@ from costshare import (Instance, SizeCapError, ValidationError,
                        run_cvm, serialize_instance, truthful_profile,
                        welfare_ratio, welfare_ratio_of_selection)
 from costshare.allocation import Allocation
-from costshare.model import MAX_AGENTS
+from costshare.model import MAX_AGENTS, AgentReport
 from costshare.properties import (EFFICIENCY_CAP, MAX_GRID_POINTS, MECHANISMS,
                                   valuation_grid)
 from costshare.fixtures import (corpus_inefficiency, fig_line, fig_triangle,
@@ -53,6 +53,12 @@ def test_enumerate_deviations_counts():
     edges_only = enumerate_deviations(inst, "a", edges_only=True)
     assert len(edges_only) == 4
     assert all(d.valuation == 3 for d in edges_only)
+    # Menu reports are built unchecked: each must already hold what a
+    # checked report would, down to the valuation's type.
+    for d in enumerate_deviations(inst, "a") + edges_only:
+        checked = AgentReport(d.edges, d.valuation)
+        assert (d, hash(d), type(d.valuation)) == (checked, hash(checked),
+                                                   type(checked.valuation))
 
 
 def test_report_json_round_trip():

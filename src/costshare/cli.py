@@ -8,6 +8,9 @@ Subcommands:
 
 Exit codes: 0 success (and every checked property holds), 1 at least one
 property violated, 2 usage or input error, 3 size cap exceeded.
+
+The parser is built on the first ``main`` call and reused; it holds no
+per-call state, since each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .baselines import run_bird
 from .cvm import run_cvm
@@ -39,6 +43,7 @@ def _choices(dest: str) -> tuple[str, ...]:
             "name": tuple(DEMOS)}[dest]
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="costshare",

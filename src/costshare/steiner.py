@@ -145,7 +145,7 @@ class SteinerSolver:
         self._inf = sum(costs.values()) + 1
         self._edges = sorted((c, self._idx[u], self._idx[v]) for (u, v), c in costs.items())
         self._paths = None
-        self._roots: dict[int, list[int]] = {}
+        self._roots: dict[int, tuple[list[int], list[int]]] = {}
         self._tables: dict[tuple[str, tuple[str, ...]], list] = {}
 
     def _shortest_paths(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -208,10 +208,9 @@ class SteinerSolver:
         pos[root] = self._n - 1
         return pos
 
-    def _root_edges(self, root: int) -> list[tuple[int, int, int, int]]:
+    def _root_edges(self, pos: list[int]) -> list[tuple[int, int, int, int]]:
         """(cost, bit u, bit v, both bits) per edge in ascending order, in
-        the bits of ``_positions``."""
-        pos = self._positions(root)
+        the bits ``pos`` of ``_positions``."""
         return [(c, pos[i], pos[j], 1 << pos[i] | 1 << pos[j]) for c, i, j in self._edges]
 
     def _spanning_costs(self, edges, fixed: int, reach: int) -> list[int]:
@@ -289,10 +288,11 @@ class SteinerSolver:
                     m[lo:hi] = [a if a < b else b for a, b in zip(m[lo:hi], m[hi:hi + step])]
         return m
 
-    def _root_table(self, root: int) -> list[int]:
-        """best[T], built on first use, for every set T of non-root nodes:
-        the cheapest tree joining the root to T, ``_inf`` when no tree does.
-        Node bits are those of ``_positions``, without the root's.
+    def _root_table(self, root: int) -> tuple[list[int], list[int]]:
+        """(pos, best), built on first use: pos is ``_positions(root)``, and
+        best[T], for every set T of non-root nodes, is the cheapest tree
+        joining the root to T, ``_inf`` when no tree does. Node bits are
+        those of pos, without the root's.
 
         First a flood over the edges finds ``reach``, the bits that can
         reach the root; a set with any other bit has no tree and stays
@@ -301,10 +301,11 @@ class SteinerSolver:
         tree spans its own node set, so best[T] is the least m over the
         supersets of T: one superset-min (zeta) transform over the bits of
         ``reach``."""
-        best = self._roots.get(root)
-        if best is None:
+        kept = self._roots.get(root)
+        if kept is None:
             top = 1 << (self._n - 1)
-            edges = self._root_edges(root)
+            pos = self._positions(root)
+            edges = self._root_edges(pos)
             reach = top
             while True:
                 grown = reach
@@ -315,8 +316,8 @@ class SteinerSolver:
                     break
             reach ^= top
             m = self._spanning_costs(edges, top, reach)
-            best = self._roots[root] = self._superset_min(m, reach)
-        return best
+            kept = self._roots[root] = pos, self._superset_min(m, reach)
+        return kept
 
     def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> list[list[int]]:
         """The dp rows of a Dreyfus-Wagner run over ``terms``, read from
@@ -327,12 +328,12 @@ class SteinerSolver:
         does. A set T | top with the root costs best[T]; a root-free set U
         the cheaper of best[U] and a tree avoiding the root, whose cost is a
         second superset-min transform over root-free spanning-tree costs."""
-        best = self._root_table(root)
+        pos, best = self._root_table(root)
         top = len(best)
-        edges = [e for e in self._root_edges(root) if not e[3] & top]
+        edges = [e for e in self._root_edges(pos) if not e[3] & top]
         free = self._superset_min(self._spanning_costs(edges, 0, top - 1), top - 1)
         cost = [a if a < b else b for a, b in zip(free, best)] + best
-        bits = [1 << b for b in self._positions(root)]
+        bits = [1 << b for b in pos]
         sets = [0]
         for t in terms:
             sets += [s | bits[t] for s in sets]
@@ -389,8 +390,7 @@ class SteinerSolver:
             root = self._term_indices([root_label])[0]
             terms = self._term_indices(terminal_labels)
             _check_terminal_count(len(terms))
-            best = self._root_table(root)
-            pos = self._positions(root)
+            pos, best = self._root_table(root)
             masks = [0]
             for t in terms:
                 bit = 0 if t == root else 1 << pos[t]

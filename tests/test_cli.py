@@ -1,5 +1,6 @@
 """Command-line behavior: documents in, documents out, stable exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -114,6 +115,49 @@ def test_argparse_exits_are_returned(capsys):
     assert "--input" in capsys.readouterr().err
     assert main(["-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: costshare")
+
+
+def test_a_second_main_call_builds_no_parser(monkeypatch, capsys):
+    """The parser is built once per process: a later call reuses it."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["-h"]) == 0
+    first = len(built)
+    assert main(["solve"]) == 2
+    capsys.readouterr()
+    assert len(built) == first, built
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    """Usage errors, help, a parsed-and-converted --step, a refused choice,
+    a demo and a solve give the same exit code, stdout and stderr in
+    either order within one process. The demo follows the refused choice,
+    so a value kept from one call to the next would fail it."""
+    path = _write(tmp_path, "line.json", serialize_instance(fig_line()))
+    check = ["check", "--property", "truthfulness", "--mechanism", "cvm",
+             "--agents", "2", "--count", "1"]
+    argvs = [["solve"], ["-h"], [*check, "--step", "1/4"], check,
+             ["check", "--property", "truthfulness", "--mechanism", "nope"],
+             ["demo", "--name", "impossibility-bbr"],
+             ["solve", "--input", path, "--mechanism", "rsm"]]
+
+    def run(order):
+        seen = {}
+        for argv in order:
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen[tuple(argv)] = code, captured.out, captured.err
+        return seen
+
+    forward = run(argvs)
+    assert [forward[tuple(a)][0] for a in argvs] == [2, 0, 0, 0, 2, 0, 0]
+    assert run(argvs[::-1]) == forward
 
 
 def _star(tmp_path, agents: int) -> str:

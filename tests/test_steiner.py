@@ -286,7 +286,7 @@ def test_root_tables_and_node_set_costs_match_a_kruskal_per_node_set():
         inf = solver._inf
         for root in range(solver._n):
             with_root, without = _under_root(best, root)
-            assert solver._root_table(root)[1] == with_root, (seed, root)
+            assert solver._root_table(root) == (solver._positions(root), with_root), (seed, root)
             terms = tuple(i for i in range(solver._n) if i != root)
             rows = solver._node_set_rows(root, terms)
             assert [row[root] for row in rows] == with_root, (seed, root)

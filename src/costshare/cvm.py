@@ -39,7 +39,7 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
     profile = run_profile(instance, profile)
     cache = cache or SteinerCache()
     table = compute_delta_table(profile, cache=cache)
-    g_mask = table.delta_masks[-1]  # delta of the whole agent set
+    g_mask = table.delta((1 << len(table.agents)) - 1)  # delta of the whole agent set
     shares = {i: unscale(_scaled_critical_value(table, g_mask, 1 << b), table.scale)
               for b, i in enumerate(table.agents) if g_mask >> b & 1}
 

@@ -4,15 +4,16 @@ The social welfare of a set S under a report profile is the reported value
 of S minus the exact cost of connecting S to the source on the induced
 graph; ``connection_cost`` reads that cost from the table over every
 agent that the recurrence and RSM's first stage build. The table below
-follows the bottom-up recurrence over subsets in ascending cardinality:
-delta(S) is the best predecessor's delta unless S itself matches or beats
-it, in which case delta(S) = S (ties favor the larger, current set).
-Predecessor ties go to the lexicographically smallest sorted label list,
-which for equal welfare means dropping the largest label.
+holds, per set S, the best welfare of any set inside S: the larger of S's
+own welfare and its predecessors' (S less one member), with no tie rule.
+``WelfareTable.delta`` walks to delta(S): S itself when its own welfare
+reaches that best (ties favor the larger, current set), else delta of the
+first predecessor that does, dropping the largest label first, so equal
+welfare goes to the lexicographically smallest sorted label list.
 
-Because the recurrence for S only ever reads entries of subsets of S, the
-entry of S agrees with a fresh run over the agents of S alone; mechanisms
-rely on this to read delta over reduced agent pools from one table.
+Because the entry of S only ever reads entries of subsets of S, it agrees
+with a fresh run over the agents of S alone; cvm reads the best welfare of
+its selection minus each member, and delta of all agents, from one table.
 
 The recurrence runs on ints. The solver's cost table is already scaled
 ints; ``scaled_to_ints`` lifts it and the reported valuations to one common
@@ -32,8 +33,6 @@ from .model import (MAX_AGENTS, ReportProfile, SizeCapError, ValidationError,
                     as_value, unscale)
 from .steiner import SteinerCache, scaled_to_ints
 
-WELFARE_CAP = MAX_AGENTS
-
 
 @dataclass(frozen=True)
 class WelfareTable:
@@ -41,23 +40,36 @@ class WelfareTable:
 
     Masks index subsets of ``agents`` (sorted order, bit b is agents[b]).
     The ``scaled_*`` tuples hold the table as ints, every value multiplied
-    by ``scale``: ``scaled_sw_delta[m]`` is the welfare of delta of the
-    subset, ``scaled_costs[m]`` its connection cost (None when it cannot be
-    connected) and ``scaled_value_sums[m]`` its reported value.
+    by ``scale``: ``scaled_sw_delta[m]`` is the best welfare of any set
+    inside the subset, ``scaled_costs[m]`` its connection cost (None when it
+    cannot be connected) and ``scaled_value_sums[m]`` its reported value.
     """
 
     agents: tuple[str, ...]
-    delta_masks: tuple[int, ...]
     scale: int
     scaled_sw_delta: tuple[int, ...]
     scaled_costs: tuple
     scaled_value_sums: tuple[int, ...]
 
+    def delta(self, mask: int) -> int:
+        """The mask of delta of the subset ``mask``: the set itself when its
+        own welfare reaches the best, else delta of its first predecessor
+        that does, dropping the largest label first."""
+        sw, costs, values = self.scaled_sw_delta, self.scaled_costs, self.scaled_value_sums
+        preds = _predecessors(len(self.agents))
+        best = sw[mask]
+        while costs[mask] is None or values[mask] - costs[mask] != best:
+            for pred in preds[mask]:
+                if sw[pred] == best:
+                    mask = pred
+                    break
+        return mask
+
 
 def check_welfare_cap(agents: int) -> None:
     """Refuse a welfare computation over more agents than the cap."""
-    if agents > WELFARE_CAP:
-        raise SizeCapError(f"{agents} agents exceed the welfare cap of {WELFARE_CAP}")
+    if agents > MAX_AGENTS:
+        raise SizeCapError(f"{agents} agents exceed the welfare cap of {MAX_AGENTS}")
 
 
 def connection_cost(profile: ReportProfile, S, cache: SteinerCache | None = None):
@@ -116,29 +128,16 @@ def compute_delta_table(profile: ReportProfile,
     scale, costs, vals = scaled_to_ints(
         solver, solver.cost_table(inst.source, agents),
         [reports[a].valuation for a in agents])
-    size = 1 << len(agents)
     value_sums = [0]
     for v in vals:
         value_sums += [s + v for s in value_sums]
-    raw_sw = [None if c is None else s - c for s, c in zip(value_sums, costs)]
-    delta_masks = [0] * size
-    sw_delta = [0] * size
+    # -1 marks a set that cannot connect: every set reaches the empty set's 0.
+    sw_delta = [-1 if c is None else s - c for s, c in zip(value_sums, costs)]
     preds = _predecessors(len(agents))
-    for mask in range(1, size):
-        # Removing the largest label first makes the first maximum the
-        # lexicographically smallest predecessor set.
-        best = None
+    for mask in range(1, len(sw_delta)):
+        best = sw_delta[mask]
         for pred in preds[mask]:
-            w = sw_delta[pred]
-            if best is None or w > best:
-                best = w
-                best_pred = pred
-        own = raw_sw[mask]
-        if own is not None and own >= best:
-            delta_masks[mask] = mask
-            sw_delta[mask] = own
-        else:
-            delta_masks[mask] = delta_masks[best_pred]
-            sw_delta[mask] = best
-    return WelfareTable(agents, tuple(delta_masks), scale, tuple(sw_delta),
-                        tuple(costs), tuple(value_sums))
+            if sw_delta[pred] > best:
+                best = sw_delta[pred]
+        sw_delta[mask] = best
+    return WelfareTable(agents, scale, tuple(sw_delta), tuple(costs), tuple(value_sums))

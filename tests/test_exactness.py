@@ -67,7 +67,7 @@ def test_delta_table_matches_the_rational_reference(seed):
             want_w, want_set = rec(S)
             assert delta_of(table, S)[1] == want_w, (seed, sorted(S))
             assert type(delta_of(table, S)[1]) is _exact_type(want_w)
-            assert members(table.agents, table.delta_masks[mask]) == want_set, (seed, sorted(S))
+            assert members(table.agents, table.delta(mask)) == want_set, (seed, sorted(S))
             value = sum((prof.valuation(a) for a in S), Fraction(0))
             assert table.scaled_value_sums[mask] == value * table.scale
             res = brute_force_steiner_oracle(graph, S | {inst.source})

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from costshare import (Instance, SizeCapError, ValidationError,
                        generate_instance, run_cvm, run_rsm, social_welfare,
                        truthful_profile)
-from costshare.model import induced_graph, unscale
+from costshare.model import MAX_AGENTS, induced_graph, unscale
 from costshare.steiner import brute_force_steiner_oracle
-from costshare.welfare import WELFARE_CAP, compute_delta_table
+from costshare.welfare import compute_delta_table
 from costshare.fixtures import fig_line, fig_triangle, fig_zero_bridge
 
 
@@ -27,7 +27,7 @@ def delta_of(table, S):
     """delta of the agent set S and its welfare, read off the table's
     masks and scaled ints."""
     mask = sum(1 << table.agents.index(a) for a in S)
-    return (members(table.agents, table.delta_masks[mask]),
+    return (members(table.agents, table.delta(mask)),
             unscale(table.scaled_sw_delta[mask], table.scale))
 
 
@@ -123,10 +123,17 @@ def test_social_welfare_none_when_unreachable():
 
     inst = fig_line()
     prof = truthful_profile(inst)
-    # b hides its only edge, so {b} cannot be connected on the induced graph
-    hidden = apply_deviation(prof, "b", AgentReport(frozenset(), 10))
+    # b hides its only edge, so {b} cannot be connected on the induced graph;
+    # its report of 10**6 is above every cost, so only an unreachable set
+    # that never wins keeps b out of delta.
+    hidden = apply_deviation(prof, "b", AgentReport(frozenset(), 10**6))
     assert social_welfare(hidden, {"b"}) is None
     assert social_welfare(hidden, {"a"}) == 2
+    table = compute_delta_table(hidden)
+    for mask in range(1 << len(table.agents)):
+        assert "b" not in members(table.agents, table.delta(mask)), mask
+    alloc = run_cvm(inst, hidden)
+    assert "b" not in alloc.selected and alloc.shares["b"] == 0
 
 
 @given(seed=st.integers(min_value=0, max_value=2_000))
@@ -142,7 +149,7 @@ def test_table_matches_reference_recursion(seed):
         S = members(agents, mask)
         want_w, want_set = rec(S)
         assert delta_of(table, S)[1] == want_w, (seed, sorted(S))
-        assert members(agents, table.delta_masks[mask]) == want_set, (seed, sorted(S))
+        assert members(agents, table.delta(mask)) == want_set, (seed, sorted(S))
 
 
 @given(seed=st.integers(min_value=0, max_value=2_000))
@@ -162,7 +169,7 @@ def test_delta_welfare_is_monotone_in_the_ground_set(seed):
 
 
 def test_welfare_cap_is_enforced():
-    n = WELFARE_CAP + 1
+    n = MAX_AGENTS + 1
     inst = Instance("s", [f"a{i:02d}" for i in range(n)],
                     {("s", f"a{i:02d}"): 1 for i in range(n)},
                     {f"a{i:02d}": 2 for i in range(n)})
@@ -171,8 +178,8 @@ def test_welfare_cap_is_enforced():
 
 
 def test_an_instance_at_the_welfare_cap_runs():
-    """Exactly WELFARE_CAP agents are accepted, under both mechanisms that
+    """Exactly MAX_AGENTS agents are accepted, under both mechanisms that
     build a welfare table."""
-    inst = generate_instance(WELFARE_CAP, 0.4, seed=3)
-    assert len(inst.agents) == WELFARE_CAP
+    inst = generate_instance(MAX_AGENTS, 0.4, seed=3)
+    assert len(inst.agents) == MAX_AGENTS
     assert run_cvm(inst).selected and run_rsm(inst).selected

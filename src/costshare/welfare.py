@@ -11,9 +11,9 @@ reaches that best (ties favor the larger, current set), else delta of the
 first predecessor that does, dropping the largest label first, so equal
 welfare goes to the lexicographically smallest sorted label list.
 
-Because the entry of S only ever reads entries of subsets of S, it agrees
-with a fresh run over the agents of S alone; cvm reads the best welfare of
-its selection minus each member, and delta of all agents, from one table.
+The entry of S reads only entries of subsets of S, so it agrees with a run
+over S alone; cvm reads delta of all agents, and the best welfare of its
+selection less each member, from one table.
 
 The recurrence runs on ints. The solver's cost table is already scaled
 ints; ``scaled_to_ints`` lifts it and the reported valuations to one common
@@ -52,9 +52,8 @@ class WelfareTable:
     scaled_value_sums: tuple[int, ...]
 
     def delta(self, mask: int) -> int:
-        """The mask of delta of the subset ``mask``: the set itself when its
-        own welfare reaches the best, else delta of its first predecessor
-        that does, dropping the largest label first."""
+        """delta of the subset ``mask``, as a mask: the set itself when its own
+        welfare reaches the best, else delta of the first predecessor that does."""
         sw, costs, values = self.scaled_sw_delta, self.scaled_costs, self.scaled_value_sums
         preds = _predecessors(len(self.agents))
         best = sw[mask]
@@ -63,6 +62,8 @@ class WelfareTable:
                 if sw[pred] == best:
                     mask = pred
                     break
+            else:
+                raise RuntimeError("no predecessor reaches the set's best welfare")
         return mask
 
 
@@ -131,7 +132,7 @@ def compute_delta_table(profile: ReportProfile,
     value_sums = [0]
     for v in vals:
         value_sums += [s + v for s in value_sums]
-    # -1 marks a set that cannot connect: every set reaches the empty set's 0.
+    # -1 marks a set that cannot connect: it never wins, as every set reaches 0.
     sw_delta = [-1 if c is None else s - c for s, c in zip(value_sums, costs)]
     preds = _predecessors(len(agents))
     for mask in range(1, len(sw_delta)):

@@ -11,12 +11,14 @@ the nodes v of T, because a minimum spanning tree has a leaf other than r
 and dropping that leaf leaves a minimum spanning tree of the rest. Only the
 sets inside the root's component, found by a flood over the edges, take
 any work; a set with a node outside it has no tree. One superset-min (zeta)
-transform over the component's node bits then turns m into the cost of
-every set at once. The transform takes each bit in whole-slice passes,
-contiguous runs or strided ones, whichever needs fewer slice assignments. A
-terminal list's table is a projection of that array, which is what makes
-whole welfare tables cheap. A subset whose nodes cannot reach the root is
-infeasible, reported as None rather than a sentinel cost.
+transform then turns m into the cost of every set at once. It runs on the
+reversed list, where each set sits at its complement's index, as one
+ascending pass that takes each entry as the least of its own value and its
+predecessors' (the set less one member). ``_predecessors`` lists those
+predecessors, largest bit first; the welfare recurrence reads the same
+table. A terminal list's table is a projection of that array, which is
+what makes whole welfare tables cheap. A subset whose nodes cannot reach
+the root is infeasible, reported as None rather than a sentinel cost.
 
 Inside a solver everything is a plain int: edge costs are scaled once by
 the lcm of their denominators, ``solver.scale``, and an int sentinel above every real
@@ -110,6 +112,19 @@ class _DisjointSet:
             return False
         self._parent[rb] = ra
         return True
+
+
+@lru_cache(maxsize=None)
+def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every set of n bits, the sets with one member fewer, the largest
+    bit removed first. The n-bit table is the (n - 1)-bit one, whose tuples
+    it shares, followed by the sets holding the top bit: each drops that
+    bit first, then its other bits as its rest does."""
+    if n == 0:
+        return ((),)
+    below = _predecessors(n - 1)
+    top = 1 << (n - 1)
+    return below + tuple([(rest, *[p | top for p in below[rest]]) for rest in range(top)])
 
 
 class SteinerSolver:
@@ -259,34 +274,24 @@ class SteinerSolver:
             T = (T - reach) & reach
 
     @staticmethod
-    def _superset_min(m: list[int], bits: int) -> list[int]:
-        """Replace each m[T] by the least m over the supersets of T that
-        differ from it only in ``bits``, in place, and return m, whose
-        length L is a power of two above ``bits``: one pass per bit of
-        ``bits`` (the zeta transform over min). When every entry with a bit
-        outside ``bits`` is the sentinel, that is the least m over all
-        supersets, since a pass over an outside bit would pair each entry
-        with a sentinel.
+    def _superset_min(m: list[int]) -> list[int]:
+        """best[T], the least m over the supersets of T, for every set T of
+        a table m whose length is a power of two; m is left unchanged.
 
-        The pass for bit s pairs every T without s with T | s. Over a table
-        of length L those pairs form L/2s contiguous runs, m[lo:lo+s]
-        against m[lo+s:lo+2s], or s strided runs, m[r::2s] against
-        m[r+s::2s]; the pass takes whichever needs fewer slice assignments,
-        min(s, L/2s), and computes each run with one comparison per pair."""
-        top = len(m)
-        while bits:
-            step = bits & -bits
-            bits ^= step
-            span = step << 1
-            if step < top // span:
-                for lo in range(step):
-                    hi = lo + step
-                    m[lo::span] = [a if a < b else b for a, b in zip(m[lo::span], m[hi::span])]
-            else:
-                for lo in range(0, top, span):
-                    hi = lo + step
-                    m[lo:hi] = [a if a < b else b for a, b in zip(m[lo:hi], m[hi:hi + step])]
-        return m
+        Reversed, the list indexes each set by its complement, so the
+        supersets of T become the subsets of its complement. One ascending
+        pass over the reversed list then takes each entry as the least of
+        its own value and its ``_predecessors``' results."""
+        out = m[::-1]
+        preds = _predecessors(len(m).bit_length() - 1)
+        for S in range(1, len(out)):
+            best = out[S]
+            for p in preds[S]:
+                if out[p] < best:
+                    best = out[p]
+            out[S] = best
+        out.reverse()
+        return out
 
     def _root_table(self, root: int) -> tuple[list[int], list[int]]:
         """(pos, best), built on first use: pos is ``_positions(root)``, and
@@ -299,8 +304,9 @@ class SteinerSolver:
         ``_inf`` with no work. Then m[T] is the cost of a minimum spanning
         tree of G[T + root] for every T inside ``reach``. A minimum Steiner
         tree spans its own node set, so best[T] is the least m over the
-        supersets of T: one superset-min (zeta) transform over the bits of
-        ``reach``."""
+        supersets of T: one ``_superset_min`` over the whole table. It needs
+        no mask, since every entry outside ``reach`` is already ``_inf`` and
+        so are all its supersets'."""
         kept = self._roots.get(root)
         if kept is None:
             top = 1 << (self._n - 1)
@@ -316,7 +322,7 @@ class SteinerSolver:
                     break
             reach ^= top
             m = self._spanning_costs(edges, top, reach)
-            kept = self._roots[root] = pos, self._superset_min(m, reach)
+            kept = self._roots[root] = pos, self._superset_min(m)
         return kept
 
     def _node_set_rows(self, root: int, terms: tuple[int, ...]) -> list[list[int]]:
@@ -326,12 +332,12 @@ class SteinerSolver:
         cost[S], built for this witness alone, is the cheapest tree spanning
         the node set S in the bits of ``_positions``, ``_inf`` when none
         does. A set T | top with the root costs best[T]; a root-free set U
-        the cheaper of best[U] and a tree avoiding the root, whose cost is a
-        second superset-min transform over root-free spanning-tree costs."""
+        the cheaper of best[U] and a tree avoiding the root, whose cost is
+        ``_superset_min`` of the root-free spanning-tree costs."""
         pos, best = self._root_table(root)
         top = len(best)
         edges = [e for e in self._root_edges(pos) if not e[3] & top]
-        free = self._superset_min(self._spanning_costs(edges, 0, top - 1), top - 1)
+        free = self._superset_min(self._spanning_costs(edges, 0, top - 1))
         cost = [a if a < b else b for a, b in zip(free, best)] + best
         bits = [1 << b for b in pos]
         sets = [0]
@@ -504,12 +510,12 @@ class SteinerSolver:
 # 2^(n-1) * E (E edges). Timed on CPython 3.11.7 on a 2.1 GHz Xeon vCPU over
 # graphs of 6 to 13 nodes and 9 to 49 edges, one step of the second took
 # 1.4 to 5.6 times one step of the first, 2.6 at the median, when that half
-# ran one Kruskal per node set. Re-checked after the leaf-removal recurrence
-# replaced it, on the 27 witness builds of the six 11-agent benchmark
-# documents (CPython 3.11.7, 2-vCPU Xeon, best of five, root table built),
-# the rule still picked the faster source each time: at 12 nodes, node sets
-# took 3.3-7.8 ms, against at most 2.3 ms of DP up to k = 7, 13.2-14.3 ms at
-# k = 9 and 106-114 ms at k = 11.
+# ran one Kruskal per node set. With the leaf-removal recurrence and the
+# predecessor-table transform, on the 27 witness builds of the six 11-agent
+# benchmark documents (2-vCPU Xeon, best of five, root table built, three
+# runs), the rule picked the faster source each time: at 12 nodes, node sets
+# took 2.1-6.5 ms, against at most 2.1 ms of DP up to k = 7, 8.8-11.9 ms at
+# k = 9 and 67-103 ms at k = 11.
 NODE_SET_STEP = 2.6
 
 

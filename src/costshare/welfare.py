@@ -8,8 +8,9 @@ holds, per set S, the best welfare of any set inside S: the larger of S's
 own welfare and its predecessors' (S less one member), with no tie rule.
 ``WelfareTable.delta`` walks to delta(S): S itself when its own welfare
 reaches that best (ties favor the larger, current set), else delta of the
-first predecessor that does, dropping the largest label first, so equal
-welfare goes to the lexicographically smallest sorted label list.
+first predecessor that does, dropping the largest label first (the order
+of ``steiner._predecessors``, which the Steiner superset-min also walks), so
+equal welfare goes to the lexicographically smallest sorted label list.
 
 The entry of S reads only entries of subsets of S, so it agrees with a run
 over S alone; cvm reads delta of all agents, and the best welfare of its
@@ -27,11 +28,10 @@ welfare table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import (MAX_AGENTS, ReportProfile, SizeCapError, ValidationError,
                     as_value, unscale)
-from .steiner import SteinerCache, scaled_to_ints
+from .steiner import SteinerCache, _predecessors, scaled_to_ints
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,6 @@ def social_welfare(profile: ReportProfile, S, cache: SteinerCache | None = None)
     if c is None:
         return None
     return as_value(sum(profile.valuation(i) for i in S) - c)
-
-
-@lru_cache(maxsize=None)
-def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
-    """For every mask over n agents, the masks with one member fewer, the
-    largest label removed first."""
-    return ((),) + tuple(
-        tuple(mask ^ (1 << b) for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1)
-        for mask in range(1, 1 << n))
 
 
 def compute_delta_table(profile: ReportProfile,

@@ -57,16 +57,14 @@ IGNORE = shutil.ignore_patterns(".git", "_work", "__pycache__", ".pytest_cache",
 ALLOWED = {
     ("rsm", "stage_solve", "v < m", "<="):
         "min_val keeps the smaller of two values; on a tie both are the same int",
-    ("steiner", "SteinerSolver._superset_min", "a < b", "<="):
-        "the transform keeps the smaller of two ints; on a tie both are equal",
+    ("steiner", "SteinerSolver._superset_min", "out[p] < best", "<="):
+        "keeps the same value on a tie",
     ("steiner", "SteinerSolver._node_set_rows", "a < b", "<="):
         "the root-free merge keeps the smaller of two ints; on a tie both are equal",
     ("steiner", "SteinerSolver._spanning_costs", "base >= best", ">"):
         "at base == best no candidate base + c is below best: speed only",
     ("steiner", "SteinerSolver._spanning_costs", "base + c < best", "<="):
         "the recurrence keeps the smaller of two ints; on a tie both are equal",
-    ("steiner", "SteinerSolver._superset_min", "step < top // span", "<="):
-        "picks strided or contiguous slices over the same pairs: speed only",
     ("steiner", "_node_sets_pay", "3 ** k * n > NODE_SET_STEP * (1 << (n - 1)) * edges", ">="):
         "picks between two witness sources with the same dp values: speed only",
     ("steiner", "SteinerSolver._dreyfus_wagner", "c < merged[v]", "<="):

@@ -138,43 +138,43 @@ def _brute_superset_min(m):
 
 def test_superset_min_is_the_least_value_over_supersets():
     """The transform against a direct minimum over supersets, for every
-    table length from 2^0 to 2^11: from 2^2 on, the early bits run as
-    strided slices and the late ones as contiguous runs. The values tie
-    often and include the solver's sentinel. The transform works in place
-    and returns its argument, which the root and node-set tables rely
-    on."""
+    table length from 2^0 to 2^11, on two input families: free values, and
+    values whose entries with a bit outside a random set are the sentinel,
+    as root tables hold for the bits that cannot reach the root. The values
+    tie often and include the solver's sentinel. The argument is left
+    unchanged."""
     import random
 
     inf = SteinerSolver(TRIANGLE)._inf
     rng = random.Random(0)
-    for bits in range(12):
-        m = [rng.choice((0, 1, 1, 2, 3, inf, inf)) for _ in range(1 << bits)]
-        want = _brute_superset_min(m)
-        got = SteinerSolver._superset_min(m, len(m) - 1)
-        assert got is m
-        assert got == want, bits
-
-
-def test_superset_min_over_some_bits_is_the_full_transform():
-    """Restricted to a bit set, the transform gives the least value over
-    all supersets wherever every entry with a bit outside the set is the
-    sentinel: root tables rely on it for the bits that cannot reach the
-    root."""
-    import random
-
-    inf = SteinerSolver(TRIANGLE)._inf
-    rng = random.Random(1)
     checked = 0
     for bits in range(12):
         top = 1 << bits
+        tables = [[rng.choice((0, 1, 1, 2, 3, inf, inf)) for _ in range(top)]]
         for _ in range(4):
             keep = rng.randrange(top)
-            m = [rng.choice((0, 1, 1, 2, 3, inf)) if T & ~keep == 0 else inf
-                 for T in range(top)]
-            want = _brute_superset_min(m)
-            assert SteinerSolver._superset_min(m, keep) == want, (bits, keep)
+            tables.append([rng.choice((0, 1, 1, 2, 3, inf)) if T & ~keep == 0 else inf
+                           for T in range(top)])
             checked += keep != top - 1
+        for m in tables:
+            before = list(m)
+            assert SteinerSolver._superset_min(m) == _brute_superset_min(m), bits
+            assert m == before
     assert checked >= 40
+
+
+def test_predecessors_list_each_set_less_one_member_largest_bit_first():
+    """``_predecessors(n)`` against a direct listing, for n up to 10. The
+    n-bit table extends the (n - 1)-bit one with the very same tuples, so
+    the tables of every size share them."""
+    for n in range(11):
+        want = tuple(tuple(S ^ (1 << b) for b in reversed(range(n)) if S >> b & 1)
+                     for S in range(1 << n))
+        got = steiner._predecessors(n)
+        assert got == want, n
+        if n:
+            below = steiner._predecessors(n - 1)
+            assert all(x is y for x, y in zip(got, below)), n
 
 
 def _seeded_split_graphs():

@@ -20,13 +20,21 @@ payments collected, at 6 of 6,000 generated truthful profiles (e.g.
 scan) and after some lies (see the relay recharge fixture).
 
 Ties on the minimal share prefer the larger set, then the lexicographically
-smallest sorted label list. A stage scans on ints: its cost table and the
-pool's reported valuations are scaled by one common factor, shares are
-compared by cross-multiplying costs and set sizes, and only the winning
-share is built as an exact value.
+smallest sorted label list. A stage does not scan every subset of its pool.
+Share, then size, then label list is one total order that depends only on
+the stage's cost table, so the pool's sets are kept in that order, as
+exact int keys, and a stage walks it: it skips sets below the previous
+share, takes the first set whose members all report at least its share,
+and stops at the first share above every reported valuation. The walk
+compares ints on one scale (the cost table's scale times lcm(1..n) for a
+pool of n), and only the winning share is built as an exact value.
 
-A run reads its induced graph and every stage's contracted graph from the
-SteinerCache, so runs that differ only in reported valuations share them.
+A run reads its induced graph, every stage's contracted graph and every
+stage's share order from the SteinerCache, so runs that differ only in
+reported valuations share them. A deviation sweep thus walks each order
+many times and visits a few sets per stage; a table read once costs about
+one pass over its sets, because its order is built lazily (see
+``_ShareOrder``).
 
 The welfare of the final selection uses its cheapest connection cost,
 not the union tree's. ``welfare.connection_cost`` reads it from stage 1's
@@ -38,9 +46,13 @@ is built once, when the trace or tree is first read.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from heapq import heapify, heappop
+from math import lcm
+
 from .allocation import Allocation, StageRecord
 from .model import Instance, ReportProfile, Value, WeightedGraph, run_profile, unscale
-from .steiner import SteinerCache, attachment_edge, scaled_to_ints
+from .steiner import SteinerCache, attachment_edge
 from .welfare import check_welfare_cap, connection_cost
 
 
@@ -49,52 +61,110 @@ def stage_solve(graph: WeightedGraph, source: str, remaining, reported,
     """Pick the stage's selection on an already contracted graph.
 
     Returns (selected set, equal share) or None when no nonempty subset of
-    the remaining pool is feasible.
+    the remaining pool is feasible. Walks the pool's share order (see
+    ``_ShareOrder``) from the cache: it skips sets whose share is below
+    ``x_prev``, returns the first set whose members all report at least its
+    share, and stops at the first share above every reported valuation.
     """
     cache = cache or SteinerCache()
-    solver = cache.solver(graph)
-    agents = tuple(sorted(remaining))
-    n = len(agents)
-    scale, costs, vals = scaled_to_ints(
-        solver, solver.cost_table(source, agents), [reported[a] for a in agents])
-    min_val = [None]
-    for v in vals:
-        min_val += [v if m is None or v < m else m for m in min_val]
-    # With X = c / size and everything scaled: X >= x_prev is
-    # c * x_den >= x_num * scale * size, and no member below X is
-    # min_val * size >= c.
-    x_den = x_prev.denominator
-    x_num = x_prev.numerator * scale
-    # A share of 1/0 that every feasible set beats.
-    best_c, best_size, best_mask = 1, 0, 0
-    for mask in range(1, 1 << n):
-        c = costs[mask]
-        if c is None:
+    key = (graph, source, frozenset(remaining))
+    order = cache.share_orders.get(key)
+    if order is None:
+        solver = cache.solver(graph)
+        agents = tuple(sorted(remaining))
+        order = cache.share_orders[key] = _ShareOrder(
+            agents, solver.cost_table(source, agents), solver.scale)
+    agents = order.agents
+    # Shares and valuations on the order's int scale: a member reports at
+    # least share k / unit when the floor of its scaled valuation is at
+    # least k, and k is at least x_prev when it is at least the ceiling.
+    unit = order.unit
+    worth = [v.numerator * unit // v.denominator for v in map(reported.__getitem__, agents)]
+    top = max(worth, default=0)
+    floor = -(-x_prev.numerator * unit // x_prev.denominator)
+    for share, mask in order:
+        if share > top:
+            break
+        if share < floor:
             continue
-        size = mask.bit_count()
-        if c * x_den < x_num * size or min_val[mask] * size < c:
-            continue
-        lhs, rhs = c * best_size, best_c * size
-        if lhs < rhs:
-            best_c, best_size, best_mask = c, size, mask
-        elif lhs == rhs:
-            # A larger set at the same share replaces cost and size
-            # together, so later comparisons see the same ratio.
-            if size > best_size:
-                best_c, best_size, best_mask = c, size, mask
-            elif size == best_size:
-                # Of two sets of one size, the smaller sorted label list
-                # holds the smallest label that only one of them has.
-                diff = mask ^ best_mask
-                if mask & diff & -diff:
-                    best_mask = mask
-    if not best_size:
-        return None
-    return frozenset(_labels(agents, best_mask)), unscale(best_c, scale * best_size)
+        for b, w in enumerate(worth):
+            if w < share and mask >> b & 1:
+                break
+        else:
+            selected = frozenset([a for b, a in enumerate(agents) if mask >> b & 1])
+            return selected, unscale(share, unit)
+    return None
 
 
-def _labels(agents: tuple[str, ...], mask: int) -> tuple[str, ...]:
-    return tuple(a for b, a in enumerate(agents) if mask >> b & 1)
+@lru_cache(maxsize=None)
+def _order_bits(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """For a pool of n agents: lcm(1..n), and per mask S the share factor
+    (lcm // |S|) << (2n + 1), the tie bits (n - |S|) << n | flip[S], and
+    flip[S], which is S bit-reversed within n bits and complemented, and is
+    its own inverse."""
+    full = (1 << n) - 1
+    rev = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 1)
+    flip = tuple([full ^ r for r in rev])
+    top = lcm(*range(1, n + 1))
+    lead = (0, *[top // m.bit_count() << 2 * n + 1 for m in range(1, 1 << n)])
+    tie = tuple([(n - m.bit_count()) << n | f for m, f in enumerate(flip)])
+    return top, lead, tie, flip
+
+
+class _ShareOrder:
+    """A pool's connectable nonempty sets in the stage's order: share
+    ascending, then the larger set, then the smaller sorted label list.
+
+    A set S of cost c has the int key ``c * lead[S] | tie[S]`` (see
+    ``_order_bits``): its share scaled by ``unit``, the cost table's scale
+    times lcm(1..n), so that it is exact, above its tie bits. Of two sets
+    of one size, flip[S] is smaller for the one holding the smallest label
+    that only one of them has, which is the one with the smaller sorted
+    label list. The order depends only on the cost table, so a cache keeps
+    one per (graph, source, pool).
+
+    The keys are heapified when the order is built and popped as the first
+    walk goes; a walk that stops early leaves the rest on the heap. The
+    second walk finishes the order into a plain list of masks, and every
+    later walk reads that list, scaling each share from the cost table. A
+    table walked once thus costs about one pass over its sets.
+    """
+
+    __slots__ = ("agents", "costs", "unit", "bits", "heap", "masks")
+
+    def __init__(self, agents: tuple[str, ...], costs: list, scale: int):
+        self.bits = top, lead, tie, _ = _order_bits(len(agents))
+        self.agents = agents
+        self.costs = costs
+        self.unit = scale * top
+        heap = [c * f | t for c, f, t in zip(costs, lead, tie) if c is not None]
+        del heap[0]  # the empty set, which costs 0 and comes first
+        heapify(heap)
+        self.heap = heap
+        self.masks = None
+
+    def __iter__(self):
+        """Yield (scaled share, mask) in order."""
+        _, lead, _, flip = self.bits
+        full = len(flip) - 1
+        shift = 2 * full.bit_length() + 1
+        heap = self.heap
+        if heap is None:
+            costs = self.costs
+            for m in self.masks:
+                yield costs[m] * lead[m] >> shift, m
+        elif self.masks is None:
+            self.masks = masks = []
+            while heap:
+                k = heappop(heap)
+                masks.append(flip[k & full])
+                yield k >> shift, masks[-1]
+        else:
+            self.masks += [flip[k & full] for k in sorted(heap)]
+            self.heap = None
+            yield from self
 
 
 def run_rsm(instance: Instance, profile: ReportProfile | None = None,

@@ -67,6 +67,9 @@ deviation sweep varies one agent's valuation far more often than its edges:
   graph.
 - ``contracted`` is keyed by the graph, the merged set and the source.
   Merging the source alone is the identity and returns the graph itself.
+- ``share_orders`` holds ``rsm``'s stage orders, keyed by the graph, the
+  source and the pool as a frozenset. An order depends only on the stage's
+  cost table, so every run on the same graph and pool walks the same one.
 """
 
 from __future__ import annotations
@@ -550,12 +553,14 @@ def scaled_to_ints(solver: SteinerSolver, table: list, values) -> tuple[int, lis
 class SteinerCache:
     """Caller-owned memo of solvers keyed by graph content, so repeated
     queries against the same induced graph reuse one DP, and of the induced
-    and contracted graphs that runs derive (see the module docstring)."""
+    and contracted graphs and the RSM stage orders that runs derive (see
+    the module docstring)."""
 
     def __init__(self):
         self._solvers: dict = {}
         self._induced: dict = {}
         self._contracted: dict = {}
+        self.share_orders: dict = {}
 
     def solver(self, graph: WeightedGraph) -> SteinerSolver:
         s = self._solvers.get(graph)

@@ -55,8 +55,6 @@ IGNORE = shutil.ignore_patterns(".git", "_work", "__pycache__", ".pytest_cache",
 # can tell the mutant apart. A comparison that appears twice in one function
 # is one entry; both sites must then be equivalent.
 ALLOWED = {
-    ("rsm", "stage_solve", "v < m", "<="):
-        "min_val keeps the smaller of two values; on a tie both are the same int",
     ("steiner", "SteinerSolver._superset_min", "out[p] < best", "<="):
         "keeps the same value on a tie",
     ("steiner", "SteinerSolver._node_set_rows", "a < b", "<="):

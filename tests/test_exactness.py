@@ -109,47 +109,65 @@ def test_one_agents_utility_is_its_entry_of_utilities(seed):
             assert [type(alloc.utility(i)) for i in agents] == [type(u) for u in first]
 
 
-def _reference_stage(graph, source, remaining, reported, x_prev):
-    """Every candidate set priced by the oracle, its share a Fraction; the
-    least share wins, then the larger set, then the smaller label list."""
+def _stage_candidates(graph, source, remaining):
+    """Every candidate set priced by the oracle, its share a Fraction, as
+    (share, -size, sorted labels): the least such key wins a stage."""
     pool = sorted(remaining)
-    best = None
+    out = []
     for mask in range(1, 1 << len(pool)):
         S = tuple(a for b, a in enumerate(pool) if mask >> b & 1)
         res = brute_force_steiner_oracle(graph, frozenset(S) | {source})
-        if res is None:
-            continue
-        share = Fraction(res.cost) / len(S)
-        if share < x_prev or min(reported[a] for a in S) < share:
-            continue
-        key = (share, -len(S), S)
-        if best is None or key < best:
-            best = key
-    if best is None:
+        if res is not None:
+            out.append((Fraction(res.cost) / len(S), -len(S), S))
+    return out
+
+
+def _reference_stage(candidates, reported, x_prev):
+    """The least share at or above x_prev that every member can pay, then
+    the larger set, then the smaller label list."""
+    feasible = [key for key in candidates
+                if key[0] >= x_prev and min(reported[a] for a in key[2]) >= key[0]]
+    if not feasible:
         return None
-    return frozenset(best[2]), best[0]
+    share, _, S = min(feasible)
+    return frozenset(S), share
 
 
 @given(seed=st.integers(min_value=0, max_value=5_000))
 @settings(max_examples=60, deadline=None)
 def test_stage_solve_matches_a_fraction_scan(seed):
+    """Each (graph, pool) is asked four times on one cache, with the
+    profile's valuations and three more vectors, so its memoized share order
+    is walked as a fresh heap, a partly popped heap and the finished list.
+    The extra valuations have denominators 5 and 11, which no cost scale
+    holds, or sit exactly on candidate shares; so do some x_prev values."""
     inst, profiles, rng = _mixed_profiles(seed)
     cache = SteinerCache()
     agents = sorted(inst.agents)
     for prof in profiles:
         base = cache.induced(prof)
-        reported = prof.reported_valuations()
-        for _ in range(3):
+        for _ in range(2):
             # Some agents were merged by earlier stages, some priced out;
             # the rest are still in the pool.
             merged = {a for a in agents if rng.random() < 0.3}
             out = {a for a in agents if a not in merged and rng.random() < 0.2}
             remaining = frozenset(agents) - merged - out
-            x_prev = (0 if rng.random() < 0.5
-                      else Fraction(rng.randint(0, 12), rng.choice(DENOMINATORS)))
             graph = cache.contracted(base, merged | {inst.source}, inst.source)
-            got = stage_solve(graph, inst.source, remaining, reported, x_prev, cache)
-            want = _reference_stage(graph, inst.source, remaining, reported, x_prev)
-            assert got == want, (seed, sorted(merged), sorted(remaining), x_prev)
-            if want is not None:
-                assert type(got[1]) is _exact_type(want[1])
+            candidates = _stage_candidates(graph, inst.source, remaining)
+            shares = [key[0] for key in candidates] or [0]
+            vectors = [
+                prof.reported_valuations(),
+                {a: Fraction(rng.randint(0, 40), rng.choice((5, 11))) for a in agents},
+                {a: rng.choice(shares) for a in agents},
+                {a: Fraction(rng.randint(0, 40), rng.choice((1, 5, 11))) for a in agents},
+            ]
+            for reported in vectors:
+                x_prev = rng.choice((0, rng.choice(shares),
+                                     Fraction(rng.randint(0, 12), rng.choice((2, 5, 7)))))
+                got = stage_solve(graph, inst.source, remaining, reported, x_prev, cache)
+                want = _reference_stage(candidates, reported, x_prev)
+                assert got == want, (seed, sorted(merged), sorted(remaining), x_prev)
+                if want is not None:
+                    assert type(got[1]) is _exact_type(want[1])
+            # Walked at least twice, the order is now the finished list.
+            assert cache.share_orders[graph, inst.source, remaining].heap is None

@@ -105,6 +105,27 @@ def test_stage_solve_units():
         frozenset({"a", "e"}), Fraction(5, 2))
 
 
+def test_stage_winner_at_the_largest_reported_valuation():
+    """The walk stops only at a share above every reported valuation: a
+    winner whose share equals the largest one is still found."""
+    g = WeightedGraph(["s", "a", "b"], {("s", "a"): 5, ("s", "b"): 8})
+    assert stage_solve(g, "s", {"a", "b"}, {"a": 5, "b": 3}, 0) == (frozenset({"a"}), 5)
+    g2 = WeightedGraph(["s", "a", "b"], {("s", "a"): 3, ("a", "b"): 2})
+    vals = {"a": Fraction(5, 2), "b": Fraction(5, 2)}
+    assert stage_solve(g2, "s", {"a", "b"}, vals, 0) == (frozenset({"a", "b"}), Fraction(5, 2))
+
+
+def test_stage_empty_and_unaffordable_pools():
+    g = WeightedGraph(["s", "a", "b", "c"], {("s", "a"): 5, ("s", "b"): 6, ("b", "c"): 1})
+    assert stage_solve(g, "s", set(), {}, 0) is None
+    assert stage_solve(g, "s", frozenset(), {"a": 9}, 0) is None
+    # every set's share is above every member's valuation, read three times
+    # so the cached order is walked in each of its states
+    cache = SteinerCache()
+    for _ in range(3):
+        assert stage_solve(g, "s", {"a", "b", "c"}, {"a": 2, "b": 3, "c": 3}, 0, cache) is None
+
+
 @pytest.mark.parametrize("seed, ladder", [
     (781, "acde 3/4 | bf 1"),
     (845, "c 0 | abf 2/3 | g 1 | e 2"),

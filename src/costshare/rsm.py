@@ -32,9 +32,8 @@ pool of n), and only the winning share is built as an exact value.
 A run reads its induced graph, every stage's contracted graph and every
 stage's share order from the SteinerCache, so runs that differ only in
 reported valuations share them. A deviation sweep thus walks each order
-many times and visits a few sets per stage; a table read once costs about
-one pass over its sets, because its order is built lazily (see
-``_ShareOrder``).
+many times and visits a few sets per stage; building an order costs one
+sort of its sets' keys (see ``_ShareOrder``).
 
 The welfare of the final selection uses its cheapest connection cost,
 not the union tree's. ``welfare.connection_cost`` reads it from stage 1's
@@ -47,7 +46,6 @@ is built once, when the trace or tree is first read.
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heapify, heappop
 from math import lcm
 
 from .allocation import Allocation, StageRecord
@@ -122,49 +120,31 @@ class _ShareOrder:
     times lcm(1..n), so that it is exact, above its tie bits. Of two sets
     of one size, flip[S] is smaller for the one holding the smallest label
     that only one of them has, which is the one with the smaller sorted
-    label list. The order depends only on the cost table, so a cache keeps
-    one per (graph, source, pool).
-
-    The keys are heapified when the order is built and popped as the first
-    walk goes; a walk that stops early leaves the rest on the heap. The
-    second walk finishes the order into a plain list of masks, and every
-    later walk reads that list, scaling each share from the cost table. A
-    table walked once thus costs about one pass over its sets.
+    label list. The keys are sorted once and kept as masks, and a walk
+    scales each share from the cost table. The order depends only on the
+    cost table, so a cache keeps one per (graph, source, pool).
     """
 
-    __slots__ = ("agents", "costs", "unit", "bits", "heap", "masks")
+    __slots__ = ("agents", "costs", "unit", "lead", "masks")
 
     def __init__(self, agents: tuple[str, ...], costs: list, scale: int):
-        self.bits = top, lead, tie, _ = _order_bits(len(agents))
+        top, lead, tie, flip = _order_bits(len(agents))
         self.agents = agents
         self.costs = costs
         self.unit = scale * top
-        heap = [c * f | t for c, f, t in zip(costs, lead, tie) if c is not None]
-        del heap[0]  # the empty set, which costs 0 and comes first
-        heapify(heap)
-        self.heap = heap
-        self.masks = None
+        self.lead = lead
+        keys = [c * f | t for c, f, t in zip(costs, lead, tie) if c is not None]
+        del keys[0]  # the empty set
+        keys.sort()
+        full = len(flip) - 1
+        self.masks = [flip[k & full] for k in keys]
 
     def __iter__(self):
         """Yield (scaled share, mask) in order."""
-        _, lead, _, flip = self.bits
-        full = len(flip) - 1
-        shift = 2 * full.bit_length() + 1
-        heap = self.heap
-        if heap is None:
-            costs = self.costs
-            for m in self.masks:
-                yield costs[m] * lead[m] >> shift, m
-        elif self.masks is None:
-            self.masks = masks = []
-            while heap:
-                k = heappop(heap)
-                masks.append(flip[k & full])
-                yield k >> shift, masks[-1]
-        else:
-            self.masks += [flip[k & full] for k in sorted(heap)]
-            self.heap = None
-            yield from self
+        costs, lead = self.costs, self.lead
+        shift = 2 * len(self.agents) + 1
+        for m in self.masks:
+            yield costs[m] * lead[m] >> shift, m
 
 
 def run_rsm(instance: Instance, profile: ReportProfile | None = None,

@@ -120,7 +120,7 @@ def test_stage_empty_and_unaffordable_pools():
     assert stage_solve(g, "s", set(), {}, 0) is None
     assert stage_solve(g, "s", frozenset(), {"a": 9}, 0) is None
     # every set's share is above every member's valuation, read three times
-    # so the cached order is walked in each of its states
+    # so the cached order is built once and walked again
     cache = SteinerCache()
     for _ in range(3):
         assert stage_solve(g, "s", {"a", "b", "c"}, {"a": 2, "b": 3, "c": 3}, 0, cache) is None

@@ -11,6 +11,11 @@ actually contributes alongside it,
 That price never depends on i's own reported valuation, which is what makes
 overstating or understating pointless. Unselected agents pay nothing. The
 payments cover at most the tree cost; they are not meant to balance it.
+
+A run reads one welfare table, a view of the split at the lone deviating
+agent that the cache keeps across a deviation sweep (see ``welfare``). It
+reads delta of all agents, C(g), and sw and value of g less each member:
+a handful of entries, each lifted from the split's scale to the table's.
 """
 
 from __future__ import annotations
@@ -21,11 +26,9 @@ from .steiner import SteinerCache
 from .welfare import WelfareTable, compute_delta_table
 
 
-def _scaled_critical_value(table: WelfareTable, g_mask: int, bit: int) -> int:
-    rest = g_mask ^ bit
-    alternative = table.scaled_sw_delta[rest]
-    contribution = table.scaled_value_sums[rest] - table.scaled_costs[g_mask]
-    return alternative - contribution
+def _scaled_critical_value(table: WelfareTable, rest: int, cost: int) -> int:
+    """sw(delta(g - i)) - (value(g - i) - C(g)) for rest = g - i and cost = C(g)."""
+    return table.sw(rest) - (table.value(rest) - cost)
 
 
 def run_cvm(instance: Instance, profile: ReportProfile | None = None,
@@ -40,7 +43,8 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
     cache = cache or SteinerCache()
     table = compute_delta_table(profile, cache=cache)
     g_mask = table.delta((1 << len(table.agents)) - 1)  # delta of the whole agent set
-    shares = {i: unscale(_scaled_critical_value(table, g_mask, 1 << b), table.scale)
+    cost = table.cost(g_mask)
+    shares = {i: unscale(_scaled_critical_value(table, g_mask ^ 1 << b, cost), table.scale)
               for b, i in enumerate(table.agents) if g_mask >> b & 1}
 
     def tree():
@@ -48,4 +52,4 @@ def run_cvm(instance: Instance, profile: ReportProfile | None = None,
         return solver.tree_for_mask(instance.source, table.agents, g_mask)
 
     return Allocation("cvm", profile, shares,
-                      lambda: unscale(table.scaled_costs[g_mask], table.scale), tree=tree)
+                      lambda: unscale(cost, table.scale), tree=tree)

@@ -257,9 +257,10 @@ def _check_declaration(instance: Instance, i: str, report: AgentReport) -> None:
 
 
 def truthful_profile(instance: Instance) -> ReportProfile:
-    """The profile where every agent declares all true edges and its true value."""
+    """The profile where every agent declares all true edges and its true value.
+    Each report holds the instance's own edge set and value objects."""
     return ReportProfile(instance, {
-        i: AgentReport(instance.true_edges_of(i), instance.valuations[i])
+        i: _unchecked_report(instance.true_edges_of(i), instance.valuations[i])
         for i in instance.agents
     })
 

@@ -70,6 +70,10 @@ deviation sweep varies one agent's valuation far more often than its edges:
 - ``share_orders`` holds ``rsm``'s stage orders, keyed by the graph, the
   source and the pool as a frozenset. An order depends only on the stage's
   cost table, so every run on the same graph and pool walks the same one.
+- ``welfare_splits`` holds ``welfare``'s tables split at one agent k, keyed
+  by the instance, k and k's declared edge set. A split is kept only when
+  every other agent reports truthfully, so the key fixes the induced graph
+  and every valuation but k's, which the split leaves out.
 """
 
 from __future__ import annotations
@@ -553,14 +557,15 @@ def scaled_to_ints(solver: SteinerSolver, table: list, values) -> tuple[int, lis
 class SteinerCache:
     """Caller-owned memo of solvers keyed by graph content, so repeated
     queries against the same induced graph reuse one DP, and of the induced
-    and contracted graphs and the RSM stage orders that runs derive (see
-    the module docstring)."""
+    and contracted graphs, the RSM stage orders and the welfare splits that
+    runs derive (see the module docstring)."""
 
     def __init__(self):
         self._solvers: dict = {}
         self._induced: dict = {}
         self._contracted: dict = {}
         self.share_orders: dict = {}
+        self.welfare_splits: dict = {}
 
     def solver(self, graph: WeightedGraph) -> SteinerSolver:
         s = self._solvers.get(graph)

@@ -77,8 +77,8 @@ ALLOWED = {
         "only the root's entry differs, and the next line overwrites it",
     ("steiner", "brute_force_steiner_oracle", "len(tset) <= 1", "<"):
         "one terminal's own mask comes first and costs 0 with no edges, as the shortcut",
-    ("welfare", "compute_delta_table", "sw_delta[pred] > best", ">="):
-        "the pass keeps only the largest value, not which predecessor holds it",
+    ("welfare", "_best_inside", "best[pred] > top", ">="):
+        "each half of the split keeps only the largest value, not which predecessor holds it",
     ("model", "edge_key", "u < v", "<="):
         "u == v raises on the line before, so both forms order every pair alike",
     ("properties", "generate_instance", "rng.random() < edge_probability", "<="):

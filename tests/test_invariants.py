@@ -5,7 +5,10 @@ change of currency: it must scale every share, utility, the welfare, the
 total cost and each stage share by exactly k, and leave the selection, the
 witness tree and the stage structure alone. k = 1/7 turns integer costs into
 sevenths and mixed denominators into larger ones, so the solver's lcm
-scaling is exercised on every instance.
+scaling is exercised on every instance. The same holds for cvm on
+single-agent deviations that share one cache, where each run reads a
+welfare split kept at the scale of the other agents' values and lifts it to
+the deviator's.
 
 Renaming every node, the source included, by a map that preserves label
 order must leave the outcome the same under that map: every tie rule breaks
@@ -25,7 +28,9 @@ from fractions import Fraction
 
 import pytest
 
-from costshare import MECHANISMS, Instance, generate_instance
+from costshare import (MECHANISMS, AgentReport, Instance, apply_deviation,
+                       generate_instance, run_cvm, truthful_profile)
+from costshare.steiner import SteinerCache
 
 DENOMINATORS = (1, 2, 3, 5)
 
@@ -70,6 +75,38 @@ def test_scaling_costs_and_values_scales_every_outcome(mechanism, k):
         base = run(inst)
         scaled = run(_scaled(inst, k))
         assert _scaled_view(scaled, 1) == _scaled_view(base, k), (seed, mechanism)
+
+
+def _single_deviations(inst: Instance, seed: int) -> list:
+    """Seeded single-agent deviations as (agent, declared edges, valuation):
+    per agent, its full and its empty edge set, each with the true value
+    and two values on the half grid, so a cache's split of each is read
+    again at other valuations."""
+    rng = random.Random(seed)
+    out = []
+    for i in sorted(inst.agents):
+        for declared in (inst.true_edges_of(i), frozenset()):
+            for v in (inst.valuations[i], *(Fraction(rng.randint(0, 19), 2) for _ in range(2))):
+                out.append((i, declared, v))
+    return out
+
+
+@pytest.mark.parametrize("k", [3, Fraction(1, 7)], ids=["k=3", "k=1/7"])
+def test_scaling_scales_cvm_on_single_deviations_sharing_one_cache(k):
+    """cvm keeps one welfare split per deviating agent and declared edge
+    set, and lifts it to each valuation's scale; the scaled instance's
+    deviations, valued k times as much, read theirs at other scales."""
+    for seed, inst in list(_corpus())[:40]:
+        scaled = _scaled(inst, k)
+        cache, scaled_cache = SteinerCache(), SteinerCache()
+        base_truth, scaled_truth = truthful_profile(inst), truthful_profile(scaled)
+        for i, declared, v in _single_deviations(inst, seed):
+            base = run_cvm(inst, apply_deviation(base_truth, i, AgentReport(declared, v)),
+                           cache)
+            grown = run_cvm(scaled, apply_deviation(scaled_truth, i, AgentReport(declared, v * k)),
+                            scaled_cache)
+            assert _scaled_view(grown, 1) == _scaled_view(base, k), (seed, i, sorted(declared), v)
+        assert cache.welfare_splits and len(scaled_cache.welfare_splits) == len(cache.welfare_splits)
 
 
 def _relabeling(inst: Instance, seed: int) -> dict:
